@@ -12,9 +12,8 @@ mixed-Poisson degree law), and verifies them by Monte Carlo.
 from .config import (LimitProfile, SizeConfiguration, derive_counts,
                      empirical_profile, parse_configuration, parse_inline,
                      power_law_configuration, serialize_configuration)
-from .graph import (ComponentSummary, DisjointSetForest, connected_components,
-                    degree_histogram, is_connected, isolated_count,
-                    largest_component_fraction)
+from .graph import (ComponentSummary, connected_components, degree_histogram,
+                    is_connected, isolated_count, largest_component_fraction)
 from .montecarlo import (ExperimentPlan, ExperimentReport,
                          run_connectivity_experiment, run_degree_experiment,
                          run_experiment, run_giant_experiment, total_variation)
@@ -32,9 +31,8 @@ __all__ = [
     "LimitProfile", "SizeConfiguration", "derive_counts", "empirical_profile",
     "parse_configuration", "parse_inline", "power_law_configuration",
     "serialize_configuration",
-    "ComponentSummary", "DisjointSetForest", "connected_components",
-    "degree_histogram", "is_connected", "isolated_count",
-    "largest_component_fraction",
+    "ComponentSummary", "connected_components", "degree_histogram",
+    "is_connected", "isolated_count", "largest_component_fraction",
     "ExperimentPlan", "ExperimentReport", "run_connectivity_experiment",
     "run_degree_experiment", "run_experiment", "run_giant_experiment",
     "total_variation",

@@ -1,14 +1,9 @@
-"""Hot sampling/analysis kernels, in two interchangeable lanes.
-
-The default lane is numba ``@njit``; setting the environment variable
-``SUPERGRAPH_NUMBA=0`` (or running without numba installed) selects the
-pure-numpy lane. Both lanes consume the same counter-based streams from
-:mod:`supergraph.rng` and emit bit-identical results, so the flag only
-changes speed. ``benchmarks/bench_kernels.py`` compares the two.
+"""Edge-sampling kernel for G(N, K, p), in vectorised numpy.
 
 Edge sampling walks size-class blocks. Within a block every super-vertex
 pair shares one probability, so successes are generated by geometric-gap
-skipping: expected cost O(successes), never O(pairs). Linear positions
+skipping: expected cost O(successes), never O(pairs). Draws come from the
+counter-based streams of :mod:`supergraph.rng`, and linear positions
 inside a block are unranked to index pairs in a fixed lexicographic
 order, which is what makes seeds reproduce exactly.
 """
@@ -16,218 +11,17 @@ order, which is what makes seeds reproduce exactly.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from . import rng
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled() -> bool:
-    """True when the njit lane is active (numba present and not disabled)."""
-    return HAVE_NUMBA and os.environ.get("SUPERGRAPH_NUMBA", "1").lower() not in ("0", "false")
-
-
 # direct sampler uses stream 2*block, constructive 2*block+1
 _DIRECT_DOMAIN = 0
 _CONSTRUCTIVE_DOMAIN = 1
 
-_U = np.uint64
-_GAMMA = _U(rng.GAMMA)
-_M1 = _U(0xBF58476D1CE4E5B9)
-_M2 = _U(0x94D049BB133111EB)
-_SEED_SALT = _U(0x71EE2AC3873B3D1F)
-_STREAM_SALT = _U(0xD6E8FEB86659FD93)
-_INV_2_53 = 1.0 / 9007199254740992.0
 
-
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True, inline="always")
-def _mix64(z):
-    z = (z ^ (z >> _U(30))) * _M1
-    z = (z ^ (z >> _U(27))) * _M2
-    return z ^ (z >> _U(31))
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _root(seed, stream):
-    return _mix64(_mix64(seed ^ _SEED_SALT) + _mix64(stream ^ _STREAM_SALT))
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _uniform(root, index):
-    raw = _mix64(root + index * _GAMMA)
-    return float(raw >> _U(11)) * _INV_2_53
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _tri_row(pos, m):
-    # largest k with k*(2m-k-1)/2 <= pos; float estimate then exact fixup
-    k = np.int64((2.0 * m - 1.0 - math.sqrt((2.0 * m - 1.0) ** 2 - 8.0 * float(pos))) / 2.0)
-    if k < 0:
-        k = 0
-    while k * (2 * m - k - 1) // 2 > pos:
-        k -= 1
-    while k + 1 <= m - 2 and (k + 1) * (2 * m - k - 2) // 2 <= pos:
-        k += 1
-    return k
-
-
-@njit(cache=True, nogil=True)
-def _sample_edges_nb(class_sizes, class_counts, class_offsets, p, seed, constructive):
-    """Edges of one G(N, K, p) realization, as parallel (u, v) arrays."""
-    nc = class_sizes.shape[0]
-    log1m_p = math.log1p(-p) if p < 1.0 else 0.0
-
-    # capacity estimate: expected hits plus generous slack
-    expect = 0.0
-    for a in range(nc):
-        for b in range(a, nc):
-            if a == b:
-                npairs = class_counts[a] * (class_counts[a] - 1) // 2
-            else:
-                npairs = class_counts[a] * class_counts[b]
-            ij = class_sizes[a] * class_sizes[b]
-            if p >= 1.0:
-                p_blk = 1.0
-            else:
-                p_blk = -math.expm1(ij * log1m_p)
-            expect += npairs * p_blk
-    cap = np.int64(expect + 6.0 * math.sqrt(expect + 1.0)) + 64
-    eu = np.empty(cap, np.int64)
-    ev = np.empty(cap, np.int64)
-    m = 0
-
-    block = 0
-    for a in range(nc):
-        for b in range(a, nc):
-            ca = class_counts[a]
-            cb = class_counts[b]
-            oa = class_offsets[a]
-            ob = class_offsets[b]
-            ij = class_sizes[a] * class_sizes[b]
-            if a == b:
-                npairs = ca * (ca - 1) // 2
-            else:
-                npairs = ca * cb
-
-            if constructive:
-                # one Bernoulli(p) per underlying cross vertex pair; a hit
-                # anywhere inside a super pair's ij-slot makes the super edge
-                stream = _U(2 * block + _CONSTRUCTIVE_DOMAIN)
-                space = float(npairs * ij)
-                p_blk = p
-                log_q = log1m_p
-            else:
-                stream = _U(2 * block + _DIRECT_DOMAIN)
-                space = float(npairs)
-                if p >= 1.0:
-                    p_blk = 1.0
-                else:
-                    p_blk = -math.expm1(ij * log1m_p)
-                log_q = math.log1p(-p_blk) if p_blk < 1.0 else 0.0
-            block += 1
-
-            if npairs == 0 or p_blk <= 0.0:
-                continue
-
-            root = _root(seed, stream)
-            last_pair = np.int64(-1)
-            pos = -1.0
-            draw = _U(0)
-            while True:
-                if p_blk >= 1.0:
-                    pos += 1.0
-                else:
-                    u = _uniform(root, draw)
-                    draw += _U(1)
-                    pos += 1.0 + math.floor(math.log1p(-u) / log_q)
-                if pos >= space:
-                    break
-                ipos = np.int64(pos)
-                if constructive:
-                    pair = ipos // ij
-                    if pair == last_pair:
-                        continue
-                    last_pair = pair
-                else:
-                    pair = ipos
-                if a == b:
-                    k = _tri_row(pair, ca)
-                    u_idx = oa + k
-                    v_idx = oa + k + 1 + (pair - k * (2 * ca - k - 1) // 2)
-                else:
-                    u_idx = oa + pair // cb
-                    v_idx = ob + pair % cb
-                if m == cap:
-                    cap = cap * 2
-                    neu = np.empty(cap, np.int64)
-                    nev = np.empty(cap, np.int64)
-                    neu[:m] = eu[:m]
-                    nev[:m] = ev[:m]
-                    eu = neu
-                    ev = nev
-                eu[m] = u_idx
-                ev[m] = v_idx
-                m += 1
-
-    return eu[:m], ev[:m]
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]  # path halving
-        x = parent[x]
-    return x
-
-
-@njit(cache=True, nogil=True)
-def _component_sizes_nb(n, eu, ev):
-    """Union-find over the edge list; returns per-root size array (zeros elsewhere)."""
-    parent = np.arange(n, dtype=np.int64)
-    rank = np.zeros(n, np.int8)
-    for t in range(eu.shape[0]):
-        ru = _find(parent, eu[t])
-        rv = _find(parent, ev[t])
-        if ru == rv:
-            continue
-        if rank[ru] < rank[rv]:
-            parent[ru] = rv
-        elif rank[ru] > rank[rv]:
-            parent[rv] = ru
-        else:
-            parent[rv] = ru
-            rank[ru] += 1
-    sizes = np.zeros(n, np.int64)
-    for v in range(n):
-        sizes[_find(parent, v)] += 1
-    return sizes
-
-
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-def _block_positions_np(npairs_f: float, p_blk: float, root: int,
+def _block_positions(npairs_f: float, p_blk: float, root: int,
                         batch_hint: int = 0) -> np.ndarray:
     """Hit positions of a Bernoulli(p_blk) sequence of length npairs_f (int64).
 
@@ -261,7 +55,7 @@ def _block_positions_np(npairs_f: float, p_blk: float, root: int,
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
-def _tri_rows_np(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _tri_rows(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     pf = pos.astype(np.float64)
     k = np.floor((2.0 * m - 1.0 - np.sqrt((2.0 * m - 1.0) ** 2 - 8.0 * pf)) / 2.0).astype(np.int64)
     np.clip(k, 0, m - 2, out=k)
@@ -280,8 +74,10 @@ def _tri_rows_np(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return k, l
 
 
-def _sample_edges_np(class_sizes, class_counts, class_offsets, p, seed, constructive):
-    nc = class_sizes.shape[0]
+def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
+    """Sample one realization's edge arrays (u, v), block by block."""
+    p, seed = float(p), int(seed)
+    nc = len(class_sizes)
     log1m_p = math.log1p(-p) if p < 1.0 else 0.0
     eu_parts = [np.empty(0, np.int64)]
     ev_parts = [np.empty(0, np.int64)]
@@ -296,6 +92,8 @@ def _sample_edges_np(class_sizes, class_counts, class_offsets, p, seed, construc
             npairs = ca * (ca - 1) // 2 if a == b else ca * cb
 
             if constructive:
+                # one Bernoulli(p) per underlying cross vertex pair; a hit
+                # anywhere inside a super pair's ij-slot makes the super edge
                 stream = 2 * block + _CONSTRUCTIVE_DOMAIN
                 space = float(npairs * ij)
                 p_blk = p
@@ -307,7 +105,7 @@ def _sample_edges_np(class_sizes, class_counts, class_offsets, p, seed, construc
 
             if npairs == 0 or p_blk <= 0.0:
                 continue
-            pos = _block_positions_np(space, p_blk, rng.stream_root(seed, stream))
+            pos = _block_positions(space, p_blk, rng.stream_root(seed, stream))
             if constructive:
                 pair = pos // ij
                 keep = np.empty(pair.shape[0], np.bool_)
@@ -320,7 +118,7 @@ def _sample_edges_np(class_sizes, class_counts, class_offsets, p, seed, construc
             if pair.shape[0] == 0:
                 continue
             if a == b:
-                k, l = _tri_rows_np(pair, ca)
+                k, l = _tri_rows(pair, ca)
                 eu_parts.append(oa + k)
                 ev_parts.append(oa + l)
             else:
@@ -329,30 +127,10 @@ def _sample_edges_np(class_sizes, class_counts, class_offsets, p, seed, construc
     return np.concatenate(eu_parts), np.concatenate(ev_parts)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
-    """Sample one realization's edge arrays on the active lane."""
-    cs = np.asarray(class_sizes, np.int64)
-    cc = np.asarray(class_counts, np.int64)
-    co = np.asarray(class_offsets, np.int64)
-    if numba_enabled():
-        return _sample_edges_nb(cs, cc, co, float(p), np.uint64(seed), bool(constructive))
-    # the numpy lane hashes stream roots with plain python ints
-    return _sample_edges_np(cs, cc, co, float(p), int(seed), bool(constructive))
+def numba_enabled() -> bool:
+    """Always False: there is one numpy lane; kept for the benchmark's provenance record."""
+    return False
 
 
 def warmup() -> None:
-    """Force JIT compilation on trivial input (call before timing or threading)."""
-    if numba_enabled():
-        eu, ev = _sample_edges_nb(
-            np.array([1], np.int64),
-            np.array([2], np.int64),
-            np.array([0], np.int64),
-            0.5,
-            np.uint64(1),
-            False,
-        )
-        _component_sizes_nb(np.int64(2), eu, ev)
+    """No-op: nothing is compiled; kept because the benchmark worker still calls it."""

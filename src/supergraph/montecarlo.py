@@ -3,7 +3,7 @@
 Per-trial RNG streams derive from (master seed, trial index), so trials can
 run on any number of worker threads with identical results; aggregation
 order is fixed by trial index. ``SUPERGRAPH_THREADS`` caps the worker count
-(default: machine parallelism).
+(default, and upper limit: the CPU count).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, rng, theory
+from . import rng, theory
 from .config import SizeConfiguration, empirical_profile
 from .graph import connected_components
 from .sampler import ModelParams, resolve_p, sample_direct
@@ -80,14 +80,18 @@ def total_variation(pmf_a: dict[int, float], pmf_b: dict[int, float]) -> float:
 
 
 def _worker_count(trials: int) -> int:
+    """Worker threads: SUPERGRAPH_THREADS if set, clamped to [1, min(CPUs, trials)]."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("SUPERGRAPH_THREADS")
-    workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(workers, trials))
+    try:
+        workers = int(env) if env else cpus
+    except ValueError:
+        raise ValueError(f"SUPERGRAPH_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(workers, cpus, trials))
 
 
 def _run_trials(plan: ExperimentPlan, params: ModelParams, collect_degrees: bool):
     """Sample and analyze all trials; returns per-trial arrays (+ degree hists)."""
-    kernels.warmup()  # compile once before threads fan out
     cfg = plan.config
 
     def one(t: int):
@@ -294,17 +298,21 @@ def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
     empirical = {k: float(v) * weight for k, v in enumerate(totals)}
 
     pmf_theory = {k: theory.mixed_poisson_pmf(profile, c_sparse, k) for k in range(cutoff)}
-    pmf_theory[cutoff] = theory.mixed_poisson_tail(profile, c_sparse, cutoff)
+    # theory.mixed_poisson_tail from the pmf already at hand: fsum is correctly
+    # rounded, so each tail is bit-identical without re-evaluating the pmf head
+    tail_th = {0: 1.0}
+    for k in range(1, cutoff + 1):
+        head = math.fsum(pmf_theory[j] for j in range(k))
+        tail_th[k] = min(1.0, max(0.0, 1.0 - head))
+    pmf_theory[cutoff] = tail_th[cutoff]
     tv = total_variation(empirical, pmf_theory)
 
-    tail_emp, tail_th = {}, {}
+    tail_emp = {}
     running = 0.0
     for k in range(cutoff, -1, -1):
         running += empirical[k]
         tail_emp[k] = min(running, 1.0)
     tail_emp = dict(sorted(tail_emp.items()))
-    for k in range(cutoff + 1):
-        tail_th[k] = theory.mixed_poisson_tail(profile, c_sparse, k)
 
     estimates = {"tv_degree": (tv, None)}
     theory_block = {

@@ -3,10 +3,9 @@
 Draw ``k`` of stream ``s`` under seed ``seed`` is a pure function of the
 triple, so any worker can generate any slice of any stream without
 coordination, and results never depend on scheduling or batch sizes.
-
-The same bit-exact generator is reimplemented with numba inside
-:mod:`supergraph.kernels`; ``tests/test_kernels.py`` pins the two lanes
-against each other and against the reference values below.
+``uniforms`` is the vectorised form of ``uniform_at`` that the edge kernel
+in :mod:`supergraph.kernels` draws from; ``tests/test_rng.py`` pins the two
+against each other.
 """
 
 from __future__ import annotations

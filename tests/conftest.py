@@ -1,19 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
-
-from supergraph import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the njit lane once so timings and threaded runs are clean
-    kernels.warmup()
-
-
-@pytest.fixture
-def numpy_lane(monkeypatch):
-    monkeypatch.setenv("SUPERGRAPH_NUMBA", "0")

@@ -1,7 +1,7 @@
 """Independent oracle implementations used only by tests.
 
 Everything here deliberately avoids the code paths under test: components
-via BFS instead of union-find, pair probabilities via plain powers instead
+via BFS instead of hook-and-jump labelling, pair probabilities via plain powers instead
 of expm1/log1p, moments via exhaustive enumeration, fixed points via
 bisection / damped Newton instead of the production iteration.
 """

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from oracles import bisect_homogeneous_survival, enumerate_isolated_moments, small_configs
-from supergraph import kernels, rng, theory
+from supergraph import rng, theory
 from supergraph.config import SizeConfiguration, power_law_configuration
 from supergraph.montecarlo import (ExperimentPlan, run_connectivity_experiment,
                                    run_degree_experiment, run_giant_experiment)
@@ -169,7 +169,6 @@ def test_criterion_10_sampler_equivalence():
 
 
 def test_criterion_11_linear_scaling():
-    kernels.warmup()
     times = {}
     for n in (10_000, 100_000, 1_000_000):
         cfg = SizeConfiguration({1: n})

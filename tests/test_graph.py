@@ -4,8 +4,7 @@ import pytest
 from oracles import bfs_component_sizes
 from supergraph import rng
 from supergraph.config import SizeConfiguration
-from supergraph.graph import (DisjointSetForest, connected_components,
-                              degree_histogram,
+from supergraph.graph import (connected_components, degree_histogram,
                               is_connected, isolated_count,
                               largest_component_fraction)
 from supergraph.sampler import SuperGraph, resolve_p, sample_direct
@@ -93,11 +92,35 @@ class TestLargestFraction:
         assert largest_component_fraction(graph_of(4, [(0, 1)])) == 0.5
 
 
+def _shuffled_path(rng, n, cut=0):
+    """A path through a random order of 0..n-1, broken before position cut if cut > 0."""
+    q = rng.permutation(n)
+    return [(q[i], q[i + 1]) for i in range(n - 1) if i + 1 != cut]
+
+
+def _shuffled_tree(rng, n):
+    q = rng.permutation(n)
+    return [(q[i], q[rng.integers(0, i)]) for i in range(1, n)]
+
+
+SHAPE_N = 3000
+
+# name -> (N, edges from a numpy Generator): shapes whose labels make hooking
+# and pointer jumping run the longest, plus the degenerate graphs
+SHAPES = {
+    "path_in_order": (SHAPE_N, lambda rng: [(i, i + 1) for i in range(SHAPE_N - 1)]),
+    "path_shuffled": (SHAPE_N, lambda rng: _shuffled_path(rng, SHAPE_N)),
+    "two_paths_shuffled": (SHAPE_N, lambda rng: _shuffled_path(rng, SHAPE_N, cut=1000)),
+    "star_centre_first": (SHAPE_N, lambda rng: [(0, i) for i in range(1, SHAPE_N)]),
+    "star_centre_last": (SHAPE_N, lambda rng: [(i, SHAPE_N - 1) for i in range(SHAPE_N - 1)]),
+    "tree_shuffled": (SHAPE_N, lambda rng: _shuffled_tree(rng, SHAPE_N)),
+    "single_vertex": (1, lambda rng: []),
+    "edgeless": (SHAPE_N, lambda rng: []),
+}
+
+
 class TestAgainstBfsOracle:
-    @pytest.mark.parametrize("lane", ["numba", "numpy"])
-    def test_random_graphs_match_bfs(self, monkeypatch, lane):
-        if lane == "numpy":
-            monkeypatch.setenv("SUPERGRAPH_NUMBA", "0")
+    def test_random_graphs_match_bfs(self):
         cfg = SizeConfiguration({1: 120, 2: 40})
         for c in (0.5, 1.0, 2.0):
             params = resolve_p("sparse", c, cfg)
@@ -106,6 +129,14 @@ class TestAgainstBfsOracle:
                 got = connected_components(graph).sizes_desc.tolist()
                 want = bfs_component_sizes(graph.num_super, graph.edges.tolist())
                 assert got == want
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_adversarial_shapes_match_bfs(self, shape):
+        n, make_edges = SHAPES[shape]
+        edges = make_edges(np.random.default_rng(7))
+        graph = graph_of(n, np.sort(np.array(edges, np.int64).reshape(-1, 2), axis=1))
+        got = connected_components(graph).sizes_desc.tolist()
+        assert got == bfs_component_sizes(n, graph.edges.tolist())
 
     def test_consistency_connected_iff_l1_equals_n(self):
         cfg = SizeConfiguration({1: 50})
@@ -118,30 +149,3 @@ class TestAgainstBfsOracle:
             # isolated nodes are exactly the size-1 components in a simple graph
             assert summary.isolated_count == (summary.sizes_desc == 1).sum()
 
-
-class TestDisjointSetForest:
-    def test_find_idempotent_and_union_counts(self):
-        forest = DisjointSetForest(6)
-        assert forest.component_count == 6
-        assert forest.union(0, 1) is True
-        assert forest.union(1, 0) is False
-        assert forest.union(2, 3) is True
-        assert forest.component_count == 4  # n minus successful unions
-        root = forest.find(1)
-        assert forest.find(root) == root
-        assert forest.find(0) == forest.find(1)
-
-    def test_partition_refinement(self):
-        forest = DisjointSetForest(5)
-        forest.union(0, 1)
-        before = {forest.find(x) for x in range(5)}
-        forest.union(3, 4)
-        after = {forest.find(x) for x in range(5)}
-        assert len(after) == len(before) - 1
-        assert forest.find(0) == forest.find(1)  # old merges survive new unions
-
-    def test_component_sizes(self):
-        forest = DisjointSetForest(5)
-        forest.union(0, 1)
-        forest.union(1, 2)
-        assert sorted(forest.component_sizes().tolist()) == [1, 1, 3]

@@ -4,36 +4,6 @@ import pytest
 from supergraph import kernels, rng
 
 
-class TestBackendFlag:
-    def test_default_uses_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("SUPERGRAPH_NUMBA", raising=False)
-        assert kernels.numba_enabled() == kernels.HAVE_NUMBA
-
-    def test_env_flag_disables(self, monkeypatch):
-        monkeypatch.setenv("SUPERGRAPH_NUMBA", "0")
-        assert not kernels.numba_enabled()
-        monkeypatch.setenv("SUPERGRAPH_NUMBA", "false")
-        assert not kernels.numba_enabled()
-        monkeypatch.setenv("SUPERGRAPH_NUMBA", "1")
-        assert kernels.numba_enabled() == kernels.HAVE_NUMBA
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba lane not installed")
-class TestNumbaRngMatchesReference:
-    def test_mix_and_root(self):
-        for seed in (0, 1, 42, 2**63 + 17):
-            for stream in (0, 1, 7, 12345):
-                want = rng.stream_root(seed, stream)
-                got = int(kernels._root(np.uint64(seed), np.uint64(stream)))
-                assert got == want
-
-    def test_uniform_sequence(self):
-        root = rng.stream_root(99, 5)
-        want = rng.uniforms(root, 0, 50)
-        got = np.array([kernels._uniform(np.uint64(root), np.uint64(k)) for k in range(50)])
-        assert np.array_equal(want, got)
-
-
 def _tri_pairs_reference(m):
     return [(k, l) for k in range(m) for l in range(k + 1, m)]
 
@@ -43,44 +13,16 @@ class TestTriangularUnranking:
     def test_numpy_unranking_is_bijective(self, m):
         npairs = m * (m - 1) // 2
         pos = np.arange(npairs, dtype=np.int64)
-        k, l = kernels._tri_rows_np(pos, m)
+        k, l = kernels._tri_rows(pos, m)
         assert list(zip(k.tolist(), l.tolist())) == _tri_pairs_reference(m)
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba lane not installed")
-    @pytest.mark.parametrize("m", [2, 3, 5, 17, 60])
-    def test_numba_row_matches(self, m):
-        ref = _tri_pairs_reference(m)
-        for pos, (k_ref, _) in enumerate(ref):
-            assert int(kernels._tri_row(np.int64(pos), np.int64(m))) == k_ref
 
 
 class TestLaneEquality:
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba lane not installed")
-    @pytest.mark.parametrize("constructive", [False, True])
-    @pytest.mark.parametrize("classes,p", [
-        (([1], [200]), 0.01),
-        (([1, 2], [50, 50]), 0.005),
-        (([1, 2, 3, 7], [20, 10, 5, 2]), 0.02),
-        (([2], [80]), 0.3),
-        (([1, 5], [4, 3]), 0.97),
-    ])
-    def test_edge_arrays_identical(self, classes, p, constructive):
-        sizes, counts = classes
-        sizes = np.array(sizes, np.int64)
-        counts = np.array(counts, np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        for seed in (0, 1, 31337):
-            nb = kernels._sample_edges_nb(sizes, counts, offsets, p, np.uint64(seed),
-                                          constructive)
-            pure = kernels._sample_edges_np(sizes, counts, offsets, p, seed, constructive)
-            assert np.array_equal(nb[0], pure[0])
-            assert np.array_equal(nb[1], pure[1])
-
     def test_positions_prefix_property(self):
         # batched generation must cut at the first overshoot, like the
         # sequential loop does
         root = rng.stream_root(4, 8)
-        full = kernels._block_positions_np(10_000.0, 0.01, root)
+        full = kernels._block_positions(10_000.0, 0.01, root)
         assert (np.diff(full) > 0).all()
         assert full[-1] < 10_000
 
@@ -89,6 +31,6 @@ class TestLaneEquality:
         # tiny forced batches make the refill loop run many times; the
         # positions must not depend on the batching
         root = rng.stream_root(21, 2)
-        want = kernels._block_positions_np(50_000.0, 0.002, root)
-        got = kernels._block_positions_np(50_000.0, 0.002, root, batch_hint=hint)
+        want = kernels._block_positions(50_000.0, 0.002, root)
+        got = kernels._block_positions(50_000.0, 0.002, root, batch_hint=hint)
         assert np.array_equal(want, got)

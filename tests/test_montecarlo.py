@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from supergraph import theory
+from supergraph import montecarlo, theory
 from supergraph.cli import render_report
 from supergraph.config import SizeConfiguration
 from supergraph.montecarlo import (ExperimentPlan, ExperimentReport,
@@ -153,12 +153,26 @@ class TestReproducibility:
         b = _strip_wall_time(render_report(run_connectivity_experiment(plan), "json"))
         assert a == b
 
-    def test_lanes_produce_identical_reports(self, monkeypatch):
-        plan = plan_for({1: 80, 3: 10}, "sparse", 1.2, 25, 999, "giant")
-        fast = _strip_wall_time(render_report(run_giant_experiment(plan), "json"))
-        monkeypatch.setenv("SUPERGRAPH_NUMBA", "0")
-        pure = _strip_wall_time(render_report(run_giant_experiment(plan), "json"))
-        assert fast == pure
+
+class TestWorkerCount:
+    # only the count is computed; no thread is started
+    @pytest.mark.parametrize("env,trials,want", [
+        (None, 1000, 4), ("", 1000, 4), ("2", 1000, 2), ("3", 2, 2),
+        ("100000", 1000, 4), ("0", 1000, 1), ("-3", 1000, 1),
+    ])
+    def test_clamped_to_cpus_and_trials(self, monkeypatch, env, trials, want):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        if env is None:
+            monkeypatch.delenv("SUPERGRAPH_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SUPERGRAPH_THREADS", env)
+        assert montecarlo._worker_count(trials) == want
+
+    @pytest.mark.parametrize("env", ["abc", "1.5", "2x"])
+    def test_non_integer_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv("SUPERGRAPH_THREADS", env)
+        with pytest.raises(ValueError, match="SUPERGRAPH_THREADS"):
+            montecarlo._worker_count(10)
 
 
 class TestPlanValidation:

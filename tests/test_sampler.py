@@ -99,21 +99,6 @@ class TestDeterminism:
         b = sampler(CFG_MIXED, params, 2)
         assert not np.array_equal(a.edges, b.edges)
 
-    @pytest.mark.parametrize("sampler", [sample_direct, sample_constructive])
-    @pytest.mark.parametrize("counts,p", [
-        ({1: 40}, 0.07),
-        ({1: 10, 2: 6, 5: 3}, 0.03),
-        ({2: 25}, 0.01),
-        ({1: 3, 7: 2}, 0.9),
-    ])
-    def test_lanes_bit_identical(self, monkeypatch, sampler, counts, p):
-        cfg = SizeConfiguration(counts)
-        params = resolve_p("raw", p, cfg)
-        fast = sampler(cfg, params, 2024)
-        monkeypatch.setenv("SUPERGRAPH_NUMBA", "0")
-        pure = sampler(cfg, params, 2024)
-        assert np.array_equal(fast.edges, pure.edges)
-
     def test_seed_validation(self):
         params = resolve_p("raw", 0.5, CFG_MIXED)
         for bad in (-1, 2 ** 64, 1.5, "7"):
