@@ -18,8 +18,8 @@ from .sampler import SuperGraph
 class ComponentSummary:
     """Component sizes L1 >= L2 >= ... and the count of degree-0 nodes.
 
-    In a simple graph isolated nodes and size-1 components coincide; both
-    views are kept because the isolated count is a primary observable.
+    In a simple graph isolated nodes and size-1 components coincide, so the
+    count is read off the sizes; it is kept as the primary observable X.
     """
 
     sizes_desc: np.ndarray
@@ -31,7 +31,8 @@ class ComponentSummary:
         object.__setattr__(self, "sizes_desc", sizes)
 
 
-def _degrees(graph: SuperGraph) -> np.ndarray:
+def degrees(graph: SuperGraph) -> np.ndarray:
+    """Degree of every super-vertex, indexed by node."""
     return np.bincount(graph.edges.ravel(), minlength=graph.num_super)
 
 
@@ -62,11 +63,10 @@ def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
 
 def connected_components(graph: SuperGraph) -> ComponentSummary:
-    """Exact component partition of a sampled graph."""
+    """Exact component partition; the isolated nodes are the size-1 components."""
     sizes = _component_sizes(graph.num_super, graph.edges[:, 0], graph.edges[:, 1])
     sizes = np.sort(sizes)[::-1]
-    isolated = int((_degrees(graph) == 0).sum())
-    return ComponentSummary(sizes_desc=sizes, isolated_count=isolated)
+    return ComponentSummary(sizes_desc=sizes, isolated_count=int((sizes == 1).sum()))
 
 
 def is_connected(graph: SuperGraph) -> bool:
@@ -75,12 +75,12 @@ def is_connected(graph: SuperGraph) -> bool:
 
 def isolated_count(graph: SuperGraph) -> int:
     """Number of super-vertices of degree 0 (the observable X)."""
-    return int((_degrees(graph) == 0).sum())
+    return int((degrees(graph) == 0).sum())
 
 
 def degree_histogram(graph: SuperGraph) -> dict[int, int]:
     """Sparse map degree k -> count Z_k; sum k*Z_k = 2|E|."""
-    counts = np.bincount(_degrees(graph))
+    counts = np.bincount(degrees(graph))
     return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
 
 

@@ -75,7 +75,7 @@ def _tri_rows(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
-    """Sample one realization's edge arrays (u, v), block by block."""
+    """Sample one realization's edge arrays (u, v), block by block, of <= 2^53 positions each."""
     p, seed = float(p), int(seed)
     nc = len(class_sizes)
     log1m_p = math.log1p(-p) if p < 1.0 else 0.0
@@ -95,17 +95,20 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
                 # one Bernoulli(p) per underlying cross vertex pair; a hit
                 # anywhere inside a super pair's ij-slot makes the super edge
                 stream = 2 * block + _CONSTRUCTIVE_DOMAIN
-                space = float(npairs * ij)
+                space = npairs * ij
                 p_blk = p
             else:
                 stream = 2 * block + _DIRECT_DOMAIN
-                space = float(npairs)
+                space = npairs
                 p_blk = 1.0 if p >= 1.0 else -math.expm1(ij * log1m_p)
             block += 1
 
             if npairs == 0 or p_blk <= 0.0:
                 continue
-            pos = _block_positions(space, p_blk, rng.stream_root(seed, stream))
+            if space > 1 << 53:
+                raise ValueError(f"block of sizes {class_sizes[a]} and {class_sizes[b]} has "
+                                 f"{space:.3g} positions, past the 2^53 float64 counts exactly")
+            pos = _block_positions(float(space), p_blk, rng.stream_root(seed, stream))
             if constructive:
                 pair = pos // ij
                 keep = np.empty(pair.shape[0], np.bool_)

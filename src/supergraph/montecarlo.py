@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng, theory
 from .config import SizeConfiguration, empirical_profile
-from .graph import connected_components
+from .graph import connected_components, degrees
 from .sampler import ModelParams, resolve_p, sample_direct
 
 EXPERIMENTS = ("connectivity", "giant", "degree")
@@ -90,18 +90,20 @@ def _worker_count(trials: int) -> int:
     return max(1, min(workers, cpus, trials))
 
 
-def _run_trials(plan: ExperimentPlan, params: ModelParams, collect_degrees: bool):
-    """Sample and analyze all trials; returns per-trial arrays (+ degree hists)."""
-    cfg = plan.config
+def _run_trials(plan: ExperimentPlan, params: ModelParams, degree_cutoff: int | None = None):
+    """Sample and analyse all trials, then run the isolated-count guard.
 
+    Returns the per-trial record {"connected", "isolated", "L1", "L2"} and,
+    given degree_cutoff, the degree counts summed over trials and lumped at
+    the cutoff (otherwise None).
+    """
     def one(t: int):
-        graph = sample_direct(cfg, params, rng.stream_root(plan.seed, t))
+        graph = sample_direct(plan.config, params, rng.stream_root(plan.seed, t))
         summary = connected_components(graph)
         sizes = summary.sizes_desc
         hist = None
-        if collect_degrees:
-            degrees = np.bincount(graph.edges.ravel(), minlength=graph.num_super)
-            hist = np.bincount(degrees)
+        if degree_cutoff is not None:
+            hist = _lump_counts(degrees(graph), degree_cutoff)
         l2 = int(sizes[1]) if sizes.shape[0] > 1 else 0
         return sizes.shape[0] == 1, summary.isolated_count, int(sizes[0]), l2, hist
 
@@ -112,12 +114,15 @@ def _run_trials(plan: ExperimentPlan, params: ModelParams, collect_degrees: bool
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(plan.trials)))
 
-    connected = np.array([r[0] for r in results], dtype=np.int8)
-    isolated = np.array([r[1] for r in results], dtype=np.int64)
-    l1 = np.array([r[2] for r in results], dtype=np.int64)
-    l2 = np.array([r[3] for r in results], dtype=np.int64)
-    hists = [r[4] for r in results] if collect_degrees else None
-    return connected, isolated, l1, l2, hists
+    trial_stats = {
+        "connected": np.array([r[0] for r in results], dtype=np.int8),
+        "isolated": np.array([r[1] for r in results], dtype=np.int64),
+        "L1": np.array([r[2] for r in results], dtype=np.int64),
+        "L2": np.array([r[3] for r in results], dtype=np.int64),
+    }
+    _check_isolated_estimator(plan, params, trial_stats["isolated"])
+    degree_counts = None if degree_cutoff is None else sum(r[4] for r in results)
+    return trial_stats, degree_counts
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float | None]:
@@ -174,11 +179,9 @@ def _poisson_lumped(lam: float, tail_below: float = TAIL_LUMP) -> dict[int, floa
     return pmf
 
 
-def _lump_samples(values: np.ndarray, cutoff: int, weight: float) -> dict[int, float]:
-    """Empirical pmf of integer samples with values >= cutoff lumped at cutoff."""
-    clipped = np.minimum(values, cutoff)
-    counts = np.bincount(clipped, minlength=cutoff + 1)
-    return {int(k): float(c) * weight for k, c in enumerate(counts)}
+def _lump_counts(values: np.ndarray, cutoff: int) -> np.ndarray:
+    """Counts of integer samples by value, values >= cutoff lumped at cutoff."""
+    return np.bincount(np.minimum(values, cutoff), minlength=cutoff + 1)
 
 
 def _meta(plan: ExperimentPlan, params: ModelParams, wall: float) -> dict[str, object]:
@@ -206,8 +209,8 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
     params = plan.params()
     cfg = plan.config
     n_super = cfg.num_super
-    connected, isolated, l1, l2, _ = _run_trials(plan, params, collect_degrees=False)
-    _check_isolated_estimator(plan, params, isolated)
+    trial_stats, _ = _run_trials(plan, params)
+    isolated = trial_stats["isolated"]
 
     # equivalent connectivity-regime constant for the resolved p
     c_conn = params.p * n_super - math.log(n_super)
@@ -216,10 +219,11 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     poisson_ref = _poisson_lumped(expected)
     cutoff = max(poisson_ref)
-    empirical = _lump_samples(isolated, cutoff, 1.0 / plan.trials)
+    weight = 1.0 / plan.trials
+    empirical = {k: float(c) * weight for k, c in enumerate(_lump_counts(isolated, cutoff))}
     tv = total_variation(empirical, poisson_ref)
 
-    p_hat = float(connected.mean())
+    p_hat = float(trial_stats["connected"].mean())
     estimates = {
         "p_connected": (p_hat, _binomial_se(p_hat, plan.trials)),
         "isolated_mean": _mean_se(isolated.astype(np.float64)),
@@ -235,7 +239,6 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "c_connectivity": c_conn,
     }
     distributions = {"isolated_empirical": empirical, "isolated_poisson": poisson_ref}
-    trial_stats = {"connected": connected, "isolated": isolated, "L1": l1, "L2": l2}
     return ExperimentReport(
         experiment="connectivity", estimates=estimates, theory=theory_block,
         distributions=distributions, trial_stats=trial_stats,
@@ -248,16 +251,15 @@ def run_giant_experiment(plan: ExperimentPlan) -> ExperimentReport:
     params = plan.params()
     cfg = plan.config
     n_super = cfg.num_super
-    connected, isolated, l1, l2, _ = _run_trials(plan, params, collect_degrees=False)
-    _check_isolated_estimator(plan, params, isolated)
+    trial_stats, _ = _run_trials(plan, params)
 
     profile = empirical_profile(cfg)
     c_sparse = params.p * cfg.num_vertices
     solution = theory.solve_giant_fraction(profile, c_sparse)
 
     estimates = {
-        "l1_fraction": _mean_se(l1 / n_super),
-        "l2_fraction": _mean_se(l2 / n_super),
+        "l1_fraction": _mean_se(trial_stats["L1"] / n_super),
+        "l2_fraction": _mean_se(trial_stats["L2"] / n_super),
     }
     theory_block = {
         "rho": solution.rho,
@@ -265,7 +267,6 @@ def run_giant_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "c_sparse": c_sparse,
         "s2": profile.s2,
     }
-    trial_stats = {"connected": connected, "isolated": isolated, "L1": l1, "L2": l2}
     return ExperimentReport(
         experiment="giant", estimates=estimates, theory=theory_block,
         trial_stats=trial_stats, meta=_meta(plan, params, time.perf_counter() - start))
@@ -277,23 +278,12 @@ def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
     params = plan.params()
     cfg = plan.config
     n_super = cfg.num_super
-    connected, isolated, l1, l2, hists = _run_trials(plan, params, collect_degrees=True)
-    _check_isolated_estimator(plan, params, isolated)
-
     profile = empirical_profile(cfg)
     c_sparse = params.p * cfg.num_vertices
     cutoff = theory.degree_pmf_cutoff(profile, c_sparse, TAIL_LUMP)
+    trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 
-    # average Z_k/N over trials, lumping degrees >= cutoff
-    totals = np.zeros(cutoff + 1, dtype=np.float64)
-    for hist in hists:
-        if hist.shape[0] > cutoff + 1:
-            head = hist[:cutoff + 1].astype(np.float64)
-            head[cutoff] += hist[cutoff + 1:].sum()
-        else:
-            head = np.zeros(cutoff + 1)
-            head[:hist.shape[0]] = hist
-        totals += head
+    # average Z_k/N over trials; the counts are exact integers
     weight = 1.0 / (plan.trials * n_super)
     empirical = {k: float(v) * weight for k, v in enumerate(totals)}
 
@@ -326,7 +316,6 @@ def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "degree_tail_empirical": tail_emp,
         "degree_tail_theory": tail_th,
     }
-    trial_stats = {"connected": connected, "isolated": isolated, "L1": l1, "L2": l2}
     return ExperimentReport(
         experiment="degree", estimates=estimates, theory=theory_block,
         distributions=distributions, trial_stats=trial_stats,

@@ -28,6 +28,7 @@ from .config import SizeConfiguration
 REGIMES = ("raw", "connectivity", "sparse")
 
 _SEED_LIMIT = 1 << 64
+_MAX_SUPER = 3_037_000_499  # isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,10 @@ class SuperGraph:
     """A sampled realization: per-node sizes and a canonical edge array.
 
     ``edges`` has shape (m, 2) with u < v per row, rows sorted
-    lexicographically, no duplicates, no self loops. Arrays are marked
-    read-only; instances are safe to share between threads.
+    lexicographically, no duplicates, no self loops. Rows may come in any
+    order; one stable sort by the int64 key u*N + v ranks them, so N may not
+    exceed 3_037_000_499 (N*N < 2^63). Arrays are marked read-only;
+    instances are safe to share between threads.
     """
 
     sizes: np.ndarray
@@ -98,16 +101,18 @@ class SuperGraph:
         n = sizes.shape[0]
         if n < 1 or (sizes < 1).any():
             raise ValueError("sizes must be a nonempty vector of integers >= 1")
+        if n > _MAX_SUPER:
+            raise ValueError(f"N={n} exceeds {_MAX_SUPER}: the edge key u*N + v overflows int64")
         if edges.shape[0]:
             if (edges[:, 0] >= edges[:, 1]).any():
                 raise ValueError("edges must satisfy u < v (no self loops)")
             if edges[:, 0].min() < 0 or edges[:, 1].max() >= n:
                 raise ValueError("edge endpoints out of range")
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-            if dup.any():
+            key = edges[:, 0] * n + edges[:, 1]
+            order = np.argsort(key, kind="stable")
+            if (np.diff(key[order]) == 0).any():
                 raise ValueError("duplicate edges")
+            edges = edges[order]
         sizes.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)

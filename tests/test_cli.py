@@ -151,6 +151,14 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_inexact_position_space_is_1(self, capsys):
+        # 5e17 underlying vertex pairs in one block, past float64's exact 2^53
+        code, out, err = run_cli(capsys, "generate", "--inline", "10000x100000",
+                                 "--regime", "raw", "--c", "1e-16", "--seed", "0",
+                                 "--sampler", "constructive")
+        assert code == 1 and out == ""
+        assert "2^53" in err
+
     def test_missing_config_file_is_1(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--config", "/nonexistent.json",
                                "--regime", "raw", "--c", "0.1")

@@ -130,17 +130,19 @@ class TestAgainstBfsOracle:
             params = resolve_p("sparse", c, cfg)
             for t in range(5):
                 graph = sample_direct(cfg, params, rng.stream_root(11, t))
-                got = connected_components(graph).sizes_desc.tolist()
+                summary = connected_components(graph)
                 want = bfs_component_sizes(graph.num_super, graph.edges.tolist())
-                assert got == want
+                assert summary.sizes_desc.tolist() == want
+                assert summary.isolated_count == isolated_count(graph)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_adversarial_shapes_match_bfs(self, shape):
         n, make_edges = SHAPES[shape]
         edges = make_edges(np.random.default_rng(7))
         graph = graph_of(n, np.sort(np.array(edges, np.int64).reshape(-1, 2), axis=1))
-        got = connected_components(graph).sizes_desc.tolist()
-        assert got == bfs_component_sizes(n, graph.edges.tolist())
+        summary = connected_components(graph)
+        assert summary.sizes_desc.tolist() == bfs_component_sizes(n, graph.edges.tolist())
+        assert summary.isolated_count == isolated_count(graph)
 
     def test_consistency_connected_iff_l1_equals_n(self):
         cfg = SizeConfiguration({1: 50})
@@ -150,6 +152,6 @@ class TestAgainstBfsOracle:
             assert is_connected(graph) == (summary.sizes_desc[0] == graph.num_super)
             if graph.num_super > 1 and is_connected(graph):
                 assert summary.isolated_count == 0
-            # isolated nodes are exactly the size-1 components in a simple graph
-            assert summary.isolated_count == (summary.sizes_desc == 1).sum()
+            # the size-1 components must be exactly the degree-0 nodes
+            assert summary.isolated_count == isolated_count(graph)
 

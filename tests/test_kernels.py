@@ -17,7 +17,7 @@ class TestTriangularUnranking:
         assert list(zip(k.tolist(), l.tolist())) == _tri_pairs_reference(m)
 
 
-class TestLaneEquality:
+class TestBlockPositions:
     def test_positions_prefix_property(self):
         # batched generation must cut at the first overshoot, like the
         # sequential loop does

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from supergraph import rng
+from supergraph import rng, sampler
 from supergraph.config import SizeConfiguration
 from supergraph.sampler import (ModelParams, SuperGraph, edge_probability,
                                 resolve_p, sample_constructive, sample_direct,
@@ -81,6 +83,21 @@ class TestBoundaries:
         graph = sampler(CFG_MIXED, resolve_p("raw", 1.0, CFG_MIXED), 1)
         n = CFG_MIXED.num_super
         assert graph.edge_count == n * (n - 1) // 2
+
+
+class TestPositionLimit:
+    # a {10000: 100000} block holds 5e17 underlying vertex pairs, past the
+    # 2^53 positions that float64 counts exactly, but only 5e9 super pairs
+    CFG = SizeConfiguration({10000: 100000})
+
+    def test_constructive_rejects_inexact_block(self):
+        with pytest.raises(ValueError, match=r"sizes 10000 and 10000 has 5e\+17"):
+            sample_constructive(self.CFG, resolve_p("raw", 1e-16, self.CFG), 0)
+
+    def test_direct_samples_same_config(self):
+        graph = sample_direct(self.CFG, resolve_p("raw", 1e-16, self.CFG), 0)
+        assert graph.num_super == 100000
+        assert 0 < graph.edge_count < 200
 
 
 class TestDeterminism:
@@ -163,6 +180,12 @@ class TestDistribution:
                 assert abs(freq[u, v] - target) <= tol, (u, v, freq[u, v], target)
 
 
+def _shuffled_edges(n):
+    """(n, rows with u < v in shuffled order); rows may repeat."""
+    row = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    return st.tuples(st.just(n), st.lists(row, max_size=60).flatmap(st.permutations))
+
+
 class TestSuperGraphType:
     def test_rejects_self_loops_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -172,9 +195,45 @@ class TestSuperGraphType:
         with pytest.raises(ValueError):
             SuperGraph(sizes=np.ones(3, np.int64), edges=np.array([[0, 3]]))
 
+    @pytest.mark.parametrize("edges,message", [
+        ([[0, 1], [2, 3], [0, 1]], "duplicate"),
+        ([[-1, 2]], "out of range"),
+        ([[0, 1], [3, 2]], "u < v"),
+    ], ids=["nonadjacent_duplicate", "negative_endpoint", "u_above_v"])
+    def test_rejects_malformed_rows(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            SuperGraph(sizes=np.ones(4, np.int64), edges=np.array(edges))
+
     def test_canonicalizes_edge_order(self):
         g = SuperGraph(sizes=np.ones(4, np.int64), edges=np.array([[2, 3], [0, 1]]))
         assert np.array_equal(g.edges, np.array([[0, 1], [2, 3]]))
+
+    def test_sorts_reverse_order_across_several_u(self):
+        edges = [[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]]
+        g = SuperGraph(sizes=np.ones(4, np.int64), edges=np.array(edges))
+        assert g.edges.tolist() == edges[::-1]
+
+    def test_rejects_n_beyond_the_int64_key(self, monkeypatch):
+        assert sampler._MAX_SUPER == math.isqrt(2 ** 63 - 1)
+        # the real limit needs a 3e9-entry sizes vector; a lowered one runs the same check
+        monkeypatch.setattr(sampler, "_MAX_SUPER", 3)
+        SuperGraph(sizes=np.ones(3, np.int64), edges=np.array([[0, 2]]))
+        with pytest.raises(ValueError, match="overflows int64"):
+            SuperGraph(sizes=np.ones(4, np.int64), edges=np.array([[0, 2]]))
+
+    @given(st.integers(1, 300).flatmap(_shuffled_edges))
+    @example((1, []))
+    @example((50, []))
+    def test_canonical_rows_match_python_sort(self, case):
+        n, edges = case
+        sizes = np.ones(n, np.int64)
+        if len(set(edges)) < len(edges):
+            with pytest.raises(ValueError, match="duplicate"):
+                SuperGraph(sizes=sizes, edges=np.array(edges, np.int64))
+            return
+        g = SuperGraph(sizes=sizes, edges=np.array(edges, np.int64))
+        want = np.array(sorted(set(map(tuple, edges))), np.int64).reshape(-1, 2)
+        assert np.array_equal(g.edges, want)
 
     def test_immutable_arrays(self):
         g = sample_direct(CFG_MIXED, resolve_p("raw", 0.5, CFG_MIXED), 4)
