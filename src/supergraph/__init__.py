@@ -20,10 +20,10 @@ from .montecarlo import (ExperimentPlan, ExperimentReport,
 from .sampler import (ModelParams, SuperGraph, edge_probability, resolve_p,
                       sample_constructive, sample_direct, write_edge_list)
 from .theory import (ConnectivityRegime, GiantSolution, critical_threshold,
-                     degree_pmf_cutoff, expected_isolated, is_supercritical,
-                     limit_connectivity_probability, limit_kernel,
-                     mixed_poisson_pmf, mixed_poisson_tail, poisson_pmf,
-                     solve_giant_fraction, variance_isolated)
+                     degree_pmf_cutoff, degree_pmf_head, expected_isolated,
+                     is_supercritical, limit_connectivity_probability,
+                     limit_kernel, mixed_poisson_pmf, mixed_poisson_tail,
+                     poisson_pmf, solve_giant_fraction, variance_isolated)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "ModelParams", "SuperGraph", "edge_probability", "resolve_p",
     "sample_constructive", "sample_direct", "write_edge_list",
     "ConnectivityRegime", "GiantSolution", "critical_threshold",
-    "degree_pmf_cutoff", "expected_isolated", "is_supercritical",
+    "degree_pmf_cutoff", "degree_pmf_head", "expected_isolated", "is_supercritical",
     "limit_connectivity_probability", "limit_kernel", "mixed_poisson_pmf",
     "mixed_poisson_tail", "poisson_pmf", "solve_giant_fraction",
     "variance_isolated",

@@ -98,7 +98,6 @@ def _cmd_predict(args) -> int:
     c_conn = params.p * n_super - math.log(n_super)
     c_sparse = params.p * n_vert
     solution = theory.solve_giant_fraction(profile, c_sparse)
-    cutoff = theory.degree_pmf_cutoff(profile, c_sparse)
     doc = {
         "N": n_super,
         "n": n_vert,
@@ -110,7 +109,7 @@ def _cmd_predict(args) -> int:
         "c_star": theory.critical_threshold(profile),
         "rho": solution.rho,
         "rho_by_size": {str(i): v for i, v in sorted(solution.rho_by_size.items())},
-        "degree_pmf": [theory.mixed_poisson_pmf(profile, c_sparse, k) for k in range(cutoff)],
+        "degree_pmf": theory.degree_pmf_head(profile, c_sparse),
     }
     _write(args, json.dumps(doc, indent=2) + "\n")
     return 0

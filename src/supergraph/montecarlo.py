@@ -280,14 +280,15 @@ def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
     n_super = cfg.num_super
     profile = empirical_profile(cfg)
     c_sparse = params.p * cfg.num_vertices
-    cutoff = theory.degree_pmf_cutoff(profile, c_sparse, TAIL_LUMP)
+    pmf_head = theory.degree_pmf_head(profile, c_sparse, TAIL_LUMP)
+    cutoff = len(pmf_head)
     trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 
     # average Z_k/N over trials; the counts are exact integers
     weight = 1.0 / (plan.trials * n_super)
     empirical = {k: float(v) * weight for k, v in enumerate(totals)}
 
-    pmf_theory = {k: theory.mixed_poisson_pmf(profile, c_sparse, k) for k in range(cutoff)}
+    pmf_theory = dict(enumerate(pmf_head))
     # theory.mixed_poisson_tail from the pmf already at hand: fsum is correctly
     # rounded, so each tail is bit-identical without re-evaluating the pmf head
     tail_th = {0: 1.0}

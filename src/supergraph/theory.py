@@ -15,7 +15,12 @@ Limits as N grows:
 * giant component at p = c/n: L1/N -> rho = sum_i rho(i) mu_i where
   rho(i) = 1 - exp(-(c i / u) S) and S = sum_j j mu_j rho(j) is the
   maximal root of S = sum_j j mu_j (1 - exp(-(c j / u) S)). rho > 0
-  iff c*s2 > 1, i.e. the threshold sits at c* = 1/s2.
+  iff c*s2 > 1, i.e. the threshold sits at c* = 1/s2. The kernel has
+  rank 1, so the whole fixed point is the one scalar equation f(S) = 0
+  with f(S) = sum_j j mu_j (1 - exp(-(c j / u) S)) - S (Bollobas, Janson
+  and Riordan, Random Struct. Alg. 31, 2007). f is concave, so Newton's
+  method from S = u decreases monotonically onto the maximal root, in a
+  few dozen steps even close to c*.
 * degree law at p = c/n: Z_k/N -> P(Xi = k) with Xi mixed Poisson,
   P(Xi = k) = sum_i mu_i P(Po(i c) = k).
 
@@ -153,17 +158,31 @@ def is_supercritical(profile: LimitProfile, c: float) -> bool:
     return c * profile.s2 > 1.0
 
 
+def _check_c(c: float) -> None:
+    if not math.isfinite(c) or c < 0.0:
+        raise ValueError(f"c must be finite and >= 0, got {c}")
+
+
 def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
                          max_iter: int = 10 ** 6) -> GiantSolution:
     """Solve the giant-component fixed point for the kernel (c/u) i j.
 
-    Iterates S <- sum_j j mu_j (1 - exp(-(c j / u) S)) downward from the
-    supremum S = u, which converges monotonically to the maximal fixed
-    point; then rho(i) = 1 - exp(-(c i / u) S). Subcritical parameters
+    Newton's method on f(S) = sum_j j mu_j (1 - exp(-(c j / u) S)) - S from
+    S = u, with f'(S) = sum_j j mu_j (c j / u) exp(-(c j / u) S) - 1; then
+    rho(i) = 1 - exp(-(c i / u) S). Above c*, f is concave with f(0) = 0,
+    f'(0) = c s2 - 1 > 0 and f(u) < 0, so a Newton step from any S right of
+    the root lands at or above the root: the iterates decrease monotonically
+    to the maximal root, quadratically once near it, at any distance from
+    c*. A step that rounding throws out of (0, S] halves S instead. Within
+    a few ulps of c* rounding can hide the root altogether; S then runs down
+    towards 0 (rho < 1e-15) in about a thousand steps.
+
+    Stops when a step is at most tol * S, or when S stops decreasing (f(S)
+    rounds to >= 0); ``iterations`` counts the Newton steps tried and
+    ``residual`` is the last one taken. Subcritical parameters
     (c * s2 <= 1) short-circuit to exactly rho = 0.
     """
-    if c < 0.0:
-        raise ValueError(f"c must be >= 0, got {c}")
+    _check_c(c)
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     mu = profile.mu
@@ -171,20 +190,29 @@ def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
     if not is_supercritical(profile, c):
         return GiantSolution(rho_by_size={i: 0.0 for i in mu}, rho=0.0,
                              iterations=0, residual=0.0)
+    rates = [(j * m, c * j / u) for j, m in mu.items()]
     s = u
-    residual = math.inf
+    step = 0.0
     for iteration in range(1, max_iter + 1):
-        s_next = math.fsum(j * m * -math.expm1(-(c * j / u) * s) for j, m in mu.items())
-        residual = abs(s_next - s)
+        f = math.fsum([*(w * -math.expm1(-x * s) for w, x in rates), -s])
+        if f >= 0.0:  # S stopped decreasing: it is the root to the last bit
+            break
+        slope = math.fsum([*(w * x * math.exp(-x * s) for w, x in rates), -1.0])
+        s_next = s - f / slope if slope < 0.0 else 0.0
+        if not s_next > 0.0:  # rounding threw the step out of (0, S]
+            s_next = 0.5 * s
+        step = s - s_next
         s = s_next
-        if residual <= tol:
-            rho_by_size = {i: -math.expm1(-(c * i / u) * s) for i in mu}
-            rho = math.fsum(rho_by_size[i] * m for i, m in mu.items())
-            return GiantSolution(rho_by_size=rho_by_size, rho=rho,
-                                 iterations=iteration, residual=residual)
-    raise RuntimeError(
-        f"giant-component fixed point did not converge in {max_iter} iterations "
-        f"(c={c}, residual={residual:.3e})")
+        if step <= tol * s:
+            break
+    else:
+        raise RuntimeError(
+            f"giant-component fixed point did not converge in {max_iter} iterations "
+            f"(c={c}, residual={step:.3e})")
+    rho_by_size = {i: -math.expm1(-(c * i / u) * s) for i in mu}
+    rho = math.fsum(rho_by_size[i] * m for i, m in mu.items())
+    return GiantSolution(rho_by_size=rho_by_size, rho=rho,
+                         iterations=iteration, residual=step)
 
 
 def poisson_pmf(lam: float, k: int) -> float:
@@ -200,8 +228,7 @@ def poisson_pmf(lam: float, k: int) -> float:
 
 def mixed_poisson_pmf(profile: LimitProfile, c: float, k: int) -> float:
     """Limiting degree law: P(Xi = k) = sum_i mu_i P(Po(i c) = k)."""
-    if c < 0.0:
-        raise ValueError(f"c must be >= 0, got {c}")
+    _check_c(c)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return math.fsum(m * poisson_pmf(i * c, k) for i, m in profile.mu.items())
@@ -215,13 +242,21 @@ def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
     return min(1.0, max(0.0, 1.0 - head))
 
 
+def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = 1e-9) -> list[float]:
+    """[P(Xi = k) for k below degree_pmf_cutoff], from one pass over k."""
+    _check_c(c)
+    head = []
+    total = 0.0
+    while 1.0 - total >= tail_below:
+        value = mixed_poisson_pmf(profile, c, len(head))
+        head.append(value)
+        total += value
+        if len(head) > 10 ** 6:  # tail of a mixed Poisson always dies; guard anyway
+            raise RuntimeError("degree pmf cutoff did not terminate")
+    return head
+
+
 def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = 1e-9) -> int:
     """Smallest k with P(Xi >= k) < tail_below; the default pmf truncation."""
-    head = 0.0
-    k = 0
-    while 1.0 - head >= tail_below:
-        head += mixed_poisson_pmf(profile, c, k)
-        k += 1
-        if k > 10 ** 6:  # tail of a mixed Poisson always dies; guard anyway
-            raise RuntimeError("degree pmf cutoff did not terminate")
-    return k
+    return len(degree_pmf_head(profile, c, tail_below))
+

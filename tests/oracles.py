@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: components
 via BFS instead of hook-and-jump labelling, pair probabilities via plain powers instead
 of expm1/log1p, moments via exhaustive enumeration, fixed points via
-bisection / damped Newton instead of the production iteration.
+bisection of the scalar S equation and damped Newton on the two-type system
+instead of the production Newton iteration on S.
 """
 
 from collections import deque
@@ -106,6 +107,33 @@ def bisect_homogeneous_survival(c: float, tol: float = 1e-14) -> float:
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def bisect_giant_fraction(mu: dict[int, float], c: float) -> float:
+    """rho of the rank-1 kernel (c/u) i j by bisection on the scalar S equation.
+
+    g(S) = sum_j j mu_j (1 - exp(-c j S / u)) - S is positive on (0, S*) and
+    nonpositive on [S*, u] above c* = u / sum_j j^2 mu_j. Bisects [0, u] until
+    the midpoint stops moving, then rho = sum_i mu_i (1 - exp(-c i S / u)).
+    u and c* are recomputed from mu; nothing comes from the library.
+    """
+    u = math.fsum(j * m for j, m in mu.items())
+    if c * math.fsum(j * j * m for j, m in mu.items()) <= u:
+        return 0.0
+
+    def g(s):
+        return math.fsum([*(j * m * -math.expm1(-c * j * s / u) for j, m in mu.items()), -s])
+
+    lo, hi = 0.0, u
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.fsum(m * -math.expm1(-c * i * mid / u) for i, m in mu.items())
 
 
 def newton_two_type(mu: dict[int, float], u: float, c: float) -> dict[int, float]:

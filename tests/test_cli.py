@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import bisect_giant_fraction
 from supergraph.cli import main, render_report
 from supergraph.config import SizeConfiguration
 from supergraph.montecarlo import ExperimentPlan, ExperimentReport, run_experiment
@@ -46,6 +47,15 @@ class TestPredict:
         assert doc["N"] == 1500 and doc["n"] == 2000
         assert set(doc["rho_by_size"]) == {"1", "2"}
         assert abs(sum(doc["degree_pmf"]) - 1.0) < 1e-6
+
+    def test_near_threshold_matches_bisection(self, capsys):
+        # s2 = (1*50000 + 4*50000)/150000, so c* = 0.6; eps = 1e-6 above it
+        c = 0.6 * (1.0 + 1e-6)
+        code, out, _ = run_cli(capsys, "predict", "--inline", "1x50000,2x50000",
+                               "--regime", "sparse", "--c", repr(c))
+        assert code == 0
+        want = bisect_giant_fraction({1: 0.5, 2: 0.5}, c)
+        assert json.loads(out)["rho"] == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_moments_match_theory(self, capsys):
         from supergraph import theory

@@ -85,7 +85,7 @@ REPORT_PLANS = {
 REPORT_HASHES = {
     "connectivity": "a7e3adae8d12ec6fc851ae00167c189cbcd4c784f4a81d3a25d276d5beab0357",
     "degree": "0f0454e81997625c4854a173ae79c9ce2725c7276e7ff0c10fe225587f58ba44",
-    "giant": "7ef7f1c44a09380d050343926b342d95c7b70e7757597f17324914fe9cfd7a5a",
+    "giant": "afe71812aa5e1e0c277f5b1e36fb1f4cdbb5279c91c6a11e050f225ca962db9f",
 }
 
 

@@ -1,13 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (bisect_homogeneous_survival, enumerate_isolated_moments,
-                     newton_two_type, small_configs)
+from oracles import (bisect_giant_fraction, bisect_homogeneous_survival,
+                     enumerate_isolated_moments, newton_two_type, small_configs)
 from supergraph.config import LimitProfile, SizeConfiguration, empirical_profile, \
     power_law_configuration
 from supergraph.theory import (ConnectivityRegime, critical_threshold,
-                               degree_pmf_cutoff, expected_isolated,
+                               degree_pmf_cutoff, degree_pmf_head, expected_isolated,
                                is_supercritical, limit_connectivity_probability,
                                limit_kernel, mixed_poisson_pmf,
                                mixed_poisson_tail, poisson_pmf,
@@ -173,9 +175,55 @@ class TestGiantFixedPoint:
         with pytest.raises(ValueError):
             solve_giant_fraction(PROFILE_HOMOG, 2.0, tol=0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            solve_giant_fraction(PROFILE_HOMOG, c)
+        with pytest.raises(ValueError, match="c must be finite"):
+            degree_pmf_cutoff(PROFILE_HOMOG, c)
+
     def test_non_convergence_reports_residual(self):
         with pytest.raises(RuntimeError, match="residual"):
             solve_giant_fraction(PROFILE_HOMOG, 2.0, tol=1e-300, max_iter=5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.dictionaries(st.integers(1, 200), st.integers(1, 1000),
+                                  min_size=1, max_size=5),
+           log_eps=st.floats(math.log(1e-9), math.log(10.0)))
+    def test_critical_window_against_bisection(self, counts, log_eps):
+        # near c* one rounding of f moves the root by about 1e-16/eps (relative),
+        # so the bound follows that conditioning; far from c* it is a few ulps
+        total = sum(counts.values())
+        profile = LimitProfile.from_weights({i: k / total for i, k in counts.items()})
+        eps = math.exp(log_eps)
+        c = critical_threshold(profile) * (1.0 + eps)
+        solution = solve_giant_fraction(profile, c)
+        want = bisect_giant_fraction(profile.mu, c)
+        assert solution.iterations <= 100
+        rel = min(1e-6, 1e-15 / eps + 1e-14)
+        assert solution.rho == pytest.approx(want, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-12, 1e-13])
+    def test_resolves_a_root_below_tol(self, eps):
+        # S* is about 1e-12 here: tol bounds the step relative to S, not absolutely
+        c = critical_threshold(PROFILE_HALF) * (1.0 + eps)
+        want = bisect_giant_fraction(PROFILE_HALF.mu, c)
+        rho = solve_giant_fraction(PROFILE_HALF, c).rho
+        assert rho == pytest.approx(want, rel=1e-2, abs=0.0)
+
+    @pytest.mark.parametrize("counts", [
+        {1: 1}, {1: 1, 2: 1}, {1: 5, 2: 3, 5: 2},
+        {1: 1, 50: 1},  # rounding throws a Newton step out of (0, S]
+        {8: 1, 37: 2},  # rounding hides the root: S runs down through the subnormals
+    ])
+    def test_one_ulp_above_threshold(self, counts):
+        total = sum(counts.values())
+        profile = LimitProfile.from_weights({i: k / total for i, k in counts.items()})
+        c = math.nextafter(critical_threshold(profile), math.inf)
+        assert is_supercritical(profile, c)
+        solution = solve_giant_fraction(profile, c)
+        assert math.isfinite(solution.rho) and 0.0 <= solution.rho < 1e-9
+        assert solution.iterations <= 1100
 
 
 class TestMixedPoisson:
@@ -226,6 +274,12 @@ class TestMixedPoisson:
         values = [k * k * mixed_poisson_tail(prof, 1.0, k) for k in range(5, 21)]
         mean = sum(values) / len(values)
         assert all(abs(v - mean) <= 0.25 * mean for v in values)
+
+    def test_head_is_the_pmf_below_the_cutoff(self):
+        prof = empirical_profile(power_law_configuration(10_000, 2.0, 30))
+        head = degree_pmf_head(prof, 1.3, 1e-9)
+        assert len(head) == degree_pmf_cutoff(prof, 1.3, 1e-9)
+        assert head == [mixed_poisson_pmf(prof, 1.3, k) for k in range(len(head))]
 
     def test_cutoff_rule(self):
         cutoff = degree_pmf_cutoff(PROFILE_HALF, 1.0)
