@@ -20,8 +20,6 @@ from .config import (SizeConfiguration, empirical_profile, parse_configuration,
 from .montecarlo import ExperimentPlan, ExperimentReport, run_experiment
 from .sampler import resolve_p, sample_constructive, sample_direct, write_edge_list
 
-_EPILOG = "SUPERGRAPH_THREADS caps Monte Carlo worker threads (default: machine parallelism)."
-
 
 def render_report(report: ExperimentReport, fmt: str) -> str:
     """Render a report as canonical JSON or as per-trial / plot-ready CSV."""
@@ -134,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supergraph",
         description="Super-vertex random graphs G(N, K, p): sampling, closed-form "
-                    "predictions, and Monte Carlo verification.",
-        epilog=_EPILOG)
+                    "predictions, and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser(
@@ -182,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, default_regime, description in experiments:
         cmd = sub.add_parser(name, help=f"run the {name} experiment",
-                             description=description, epilog=_EPILOG)
+                             description=description)
         _add_config_flags(cmd)
         cmd.add_argument("--regime", choices=("raw", "connectivity", "sparse"),
                          default=default_regime,

@@ -1,11 +1,13 @@
 import json
 import math
+import types
 
+import numpy as np
 import pytest
 
 from supergraph import montecarlo, theory
 from supergraph.cli import render_report
-from supergraph.config import SizeConfiguration
+from supergraph.config import SizeConfiguration, power_law_configuration
 from supergraph.montecarlo import (ExperimentPlan, ExperimentReport,
                                    run_connectivity_experiment,
                                    run_degree_experiment, run_experiment,
@@ -141,9 +143,9 @@ class TestReproducibility:
     @pytest.mark.parametrize("experiment", ["connectivity", "giant", "degree"])
     def test_worker_count_does_not_change_report(self, monkeypatch, experiment):
         plan = plan_for({1: 150, 2: 50}, "sparse", 1.0, 40, 12345, experiment)
-        monkeypatch.setenv("SUPERGRAPH_THREADS", "1")
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda plan: 1)
         serial = _strip_wall_time(render_report(run_experiment(plan), "json"))
-        monkeypatch.setenv("SUPERGRAPH_THREADS", "4")
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda plan: 4)
         threaded = _strip_wall_time(render_report(run_experiment(plan), "json"))
         assert serial == threaded
 
@@ -154,25 +156,49 @@ class TestReproducibility:
         assert a == b
 
 
+def _patch_cpus(monkeypatch, affinity=None, cpu_count=4):
+    """Replace montecarlo.os; affinity=None means the platform has no affinity call."""
+    fake = types.SimpleNamespace(cpu_count=lambda: cpu_count)
+    if affinity is not None:
+        fake.sched_getaffinity = lambda pid: set(range(affinity))
+    monkeypatch.setattr(montecarlo, "os", fake)
+
+
 class TestWorkerCount:
     # only the count is computed; no thread is started
-    @pytest.mark.parametrize("env,trials,want", [
-        (None, 1000, 4), ("", 1000, 4), ("2", 1000, 2), ("3", 2, 2),
-        ("100000", 1000, 4), ("0", 1000, 1), ("-3", 1000, 1),
-    ])
-    def test_clamped_to_cpus_and_trials(self, monkeypatch, env, trials, want):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        if env is None:
-            monkeypatch.delenv("SUPERGRAPH_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SUPERGRAPH_THREADS", env)
-        assert montecarlo._worker_count(trials) == want
+    @pytest.mark.parametrize("counts,trials,want", [
+        ({1: 1000}, 500, 1),
+        ({1: 3000}, 200, 1),
+        # N = 100k in 58 classes: a mean class of 1724 despite the large N
+        (power_law_configuration(100_000, 2.0, 300).counts, 4, 1),
+        ({1: 10_000, 2: 10_000}, 20, 1),
+        ({1: 1 << 14}, 40, 1),
+        ({1: 1 << 15}, 20, 4),
+        ({1: 50_000, 2: 50_000}, 8, 4),
+        ({1: 1 << 16}, 12, 4),
+        ({1: 1 << 17}, 6, 4),
+        ({1: 500_000}, 3, 3),
+    ], ids=["1000", "3000", "1724", "10000", "16384", "32768", "50000", "65536", "131072",
+            "500000"])
+    def test_chosen_from_mean_class_size(self, monkeypatch, counts, trials, want):
+        _patch_cpus(monkeypatch, affinity=4)
+        plan = plan_for(counts, "sparse", 2.0, trials, 1, "giant")
+        assert montecarlo._worker_count(plan) == want
 
-    @pytest.mark.parametrize("env", ["abc", "1.5", "2x"])
-    def test_non_integer_names_the_variable(self, monkeypatch, env):
-        monkeypatch.setenv("SUPERGRAPH_THREADS", env)
-        with pytest.raises(ValueError, match="SUPERGRAPH_THREADS"):
-            montecarlo._worker_count(10)
+    @pytest.mark.parametrize("trials,want", [(1, 1), (2, 2), (4, 4), (1000, 4)])
+    def test_clamped_to_trials(self, monkeypatch, trials, want):
+        _patch_cpus(monkeypatch, affinity=4)
+        plan = plan_for({1: 1 << 16}, "sparse", 2.0, trials, 1, "giant")
+        assert montecarlo._worker_count(plan) == want
+
+    @pytest.mark.parametrize("affinity,cpu_count,trials,want", [
+        (2, 64, 1000, 2), (1, 64, 1000, 1), (None, 3, 1000, 3), (None, None, 1000, 1),
+        (None, 64, 2, 2),
+    ])
+    def test_usable_cpus(self, monkeypatch, affinity, cpu_count, trials, want):
+        _patch_cpus(monkeypatch, affinity=affinity, cpu_count=cpu_count)
+        plan = plan_for({1: 1 << 16}, "sparse", 2.0, trials, 1, "giant")
+        assert montecarlo._worker_count(plan) == want
 
 
 class TestPlanValidation:
@@ -183,6 +209,21 @@ class TestPlanValidation:
     def test_experiment_name(self):
         with pytest.raises(ValueError):
             plan_for({1: 5}, "raw", 0.5, 5, 1, "percolation")
+
+    @pytest.mark.parametrize("trials", [2.0, True])
+    def test_trials_not_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            plan_for({1: 5}, "raw", 0.5, trials, 1, "giant")
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            plan_for({1: 5}, "raw", 0.5, 5, seed, "giant")
+
+    def test_numpy_seed_stored_as_int(self):
+        plan = plan_for({1: 5}, "raw", 0.5, 5, np.uint64(7), "giant")
+        assert type(plan.seed) is int
+        assert json.loads(render_report(run_experiment(plan), "json"))["meta"]["seed"] == 7
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
