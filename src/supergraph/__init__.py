@@ -19,11 +19,11 @@ from .montecarlo import (ExperimentPlan, ExperimentReport,
                          run_experiment, run_giant_experiment, total_variation)
 from .sampler import (ModelParams, SuperGraph, edge_probability, resolve_p,
                       sample_constructive, sample_direct, write_edge_list)
-from .theory import (ConnectivityRegime, GiantSolution, critical_threshold,
-                     degree_pmf_cutoff, degree_pmf_head, expected_isolated,
-                     is_supercritical, limit_connectivity_probability,
-                     limit_kernel, mixed_poisson_pmf, mixed_poisson_tail,
-                     poisson_pmf, solve_giant_fraction, variance_isolated)
+from .theory import (GiantSolution, critical_threshold, degree_pmf_cutoff,
+                     degree_pmf_head, expected_isolated, is_supercritical,
+                     limit_connectivity_probability, limit_kernel,
+                     mixed_poisson_pmf, mixed_poisson_tail, poisson_pmf,
+                     solve_giant_fraction, variance_isolated)
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,8 @@ __all__ = [
     "total_variation",
     "ModelParams", "SuperGraph", "edge_probability", "resolve_p",
     "sample_constructive", "sample_direct", "write_edge_list",
-    "ConnectivityRegime", "GiantSolution", "critical_threshold",
-    "degree_pmf_cutoff", "degree_pmf_head", "expected_isolated", "is_supercritical",
-    "limit_connectivity_probability", "limit_kernel", "mixed_poisson_pmf",
-    "mixed_poisson_tail", "poisson_pmf", "solve_giant_fraction",
-    "variance_isolated",
+    "GiantSolution", "critical_threshold", "degree_pmf_cutoff", "degree_pmf_head",
+    "expected_isolated", "is_supercritical", "limit_connectivity_probability",
+    "limit_kernel", "mixed_poisson_pmf", "mixed_poisson_tail", "poisson_pmf",
+    "solve_giant_fraction", "variance_isolated",
 ]

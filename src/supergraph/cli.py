@@ -102,8 +102,7 @@ def _cmd_predict(args) -> int:
         "p": params.p,
         "E_isolated": theory.expected_isolated(config, params.p),
         "Var_isolated": theory.variance_isolated(config, params.p),
-        "P_connected_limit": theory.limit_connectivity_probability(
-            theory.ConnectivityRegime.fixed(c_conn), profile.u),
+        "P_connected_limit": theory.limit_connectivity_probability(c_conn, profile.u),
         "c_star": theory.critical_threshold(profile),
         "rho": solution.rho,
         "rho_by_size": {str(i): v for i, v in sorted(solution.rho_by_size.items())},

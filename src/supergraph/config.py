@@ -68,8 +68,9 @@ class SizeConfiguration:
 class LimitProfile:
     """Profile (mu_i, u, s2) of a configuration.
 
-    Invariants (checked to PROFILE_TOL): sum mu_i = 1, u = sum i*mu_i,
-    s2 = sum j^2 mu_j / u, and s2 >= u >= 1 with equality iff all sizes are 1.
+    Sizes are integers >= 1 and mu, u and s2 are finite. Invariants (checked
+    to PROFILE_TOL): sum mu_i = 1, u = sum i*mu_i, s2 = sum j^2 mu_j / u, and
+    s2 >= u >= 1 with equality iff all sizes are 1.
     """
 
     mu: dict[int, float]
@@ -77,6 +78,11 @@ class LimitProfile:
     s2: float
 
     def __post_init__(self):
+        for size in self.mu:
+            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+                raise ValueError(f"size must be an integer >= 1, got {size!r}")
+        if not all(math.isfinite(x) for x in (*self.mu.values(), self.u, self.s2)):
+            raise ValueError(f"mu, u and s2 must be finite, got u={self.u!r}, s2={self.s2!r}")
         object.__setattr__(self, "mu", dict(sorted(self.mu.items())))
         total = math.fsum(self.mu.values())
         if abs(total - 1.0) > PROFILE_TOL:
@@ -96,7 +102,8 @@ class LimitProfile:
     def from_weights(cls, mu: dict[int, float]) -> "LimitProfile":
         """Build a profile directly from normalized weights."""
         u = math.fsum(i * m for i, m in mu.items())
-        s2 = math.fsum(i * i * m for i, m in mu.items()) / u
+        # u = 0 only for weights that the constructor rejects
+        s2 = math.fsum(i * i * m for i, m in mu.items()) / u if u else math.nan
         return cls(mu=mu, u=u, s2=s2)
 
 

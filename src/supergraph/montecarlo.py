@@ -11,6 +11,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,10 +19,9 @@ from . import rng, theory
 from .config import SizeConfiguration, empirical_profile
 from .graph import connected_components, degrees
 from .sampler import ModelParams, _check_seed, resolve_p, sample_direct
+from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it from here)
 
 EXPERIMENTS = ("connectivity", "giant", "degree")
-
-TAIL_LUMP = 1e-9  # distribution truncation: smallest k with theory tail below this
 
 # Trials run on a thread pool, one worker per usable CPU and trial, once the mean
 # size class (the side of a typical kernel block) has this many super-vertices;
@@ -166,20 +166,6 @@ def _check_isolated_estimator(plan, params, isolated: np.ndarray) -> None:
             f"seed={plan.seed})")
 
 
-def _poisson_lumped(lam: float, tail_below: float = TAIL_LUMP) -> dict[int, float]:
-    """Poisson(lam) pmf truncated at tail < tail_below, remainder in the last key."""
-    pmf: dict[int, float] = {}
-    head = 0.0
-    k = 0
-    while 1.0 - head >= tail_below:
-        value = theory.poisson_pmf(lam, k)
-        pmf[k] = value
-        head += value
-        k += 1
-    pmf[k] = max(1.0 - head, 0.0)
-    return pmf
-
-
 def _lump_counts(values: np.ndarray, cutoff: int) -> np.ndarray:
     """Counts of integer samples by value, values >= cutoff lumped at cutoff."""
     return np.bincount(np.minimum(values, cutoff), minlength=cutoff + 1)
@@ -218,7 +204,7 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
     profile = empirical_profile(cfg)
     expected = theory.expected_isolated(cfg, params.p)
 
-    poisson_ref = _poisson_lumped(expected)
+    poisson_ref = dict(enumerate(theory.lumped_pmf(partial(theory.poisson_pmf, expected))))
     cutoff = max(poisson_ref)
     weight = 1.0 / plan.trials
     empirical = {k: float(c) * weight for k, c in enumerate(_lump_counts(isolated, cutoff))}
@@ -232,8 +218,7 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "tv_isolated_poisson": (tv, None),
     }
     theory_block = {
-        "p_connected_limit": theory.limit_connectivity_probability(
-            theory.ConnectivityRegime.fixed(c_conn), profile.u),
+        "p_connected_limit": theory.limit_connectivity_probability(c_conn, profile.u),
         "isolated_mean_limit": math.exp(-c_conn),
         "expected_isolated": expected,
         "variance_isolated": theory.variance_isolated(cfg, params.p),
@@ -281,22 +266,17 @@ def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
     n_super = cfg.num_super
     profile = empirical_profile(cfg)
     c_sparse = params.p * cfg.num_vertices
-    pmf_head = theory.degree_pmf_head(profile, c_sparse, TAIL_LUMP)
-    cutoff = len(pmf_head)
+    pmf_lumped = theory.lumped_pmf(partial(theory.mixed_poisson_pmf, profile, c_sparse))
+    cutoff = len(pmf_lumped) - 1
     trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 
     # average Z_k/N over trials; the counts are exact integers
     weight = 1.0 / (plan.trials * n_super)
     empirical = {k: float(v) * weight for k, v in enumerate(totals)}
 
-    pmf_theory = dict(enumerate(pmf_head))
-    # theory.mixed_poisson_tail from the pmf already at hand: fsum is correctly
-    # rounded, so each tail is bit-identical without re-evaluating the pmf head
-    tail_th = {0: 1.0}
-    for k in range(1, cutoff + 1):
-        head = math.fsum(pmf_theory[j] for j in range(k))
-        tail_th[k] = min(1.0, max(0.0, 1.0 - head))
-    pmf_theory[cutoff] = tail_th[cutoff]
+    pmf_theory = dict(enumerate(pmf_lumped))
+    # the tails theory.mixed_poisson_tail gives, from the pmf already at hand
+    tail_th = {k: theory.tail_mass(pmf_lumped[:k]) for k in range(cutoff + 1)}
     tv = total_variation(empirical, pmf_theory)
 
     tail_emp = {}

@@ -1,17 +1,19 @@
 """Closed-form and limiting predictions for G(N, K, p).
 
-Finite-N exact quantities:
+Finite-N exact quantities, with q = 1 - p and e_i = i(n-i):
 
-* ``expected_isolated``  E[X] = sum_i k_i (1-p)^(i(n-i))
-* ``variance_isolated``  V[X] = E[X]
-  + sum_{i,j} k_i k_j (1-p)^(i(n-i)+j(n-j)) [(1-p)^(-ij) - 1]
-  - sum_i k_i (1-p)^(2i(n-i)-i^2)
+* ``expected_isolated``  E[X] = sum_i k_i q^e_i
+* ``variance_isolated``  V[X] = sum_i k_i q^e_i (1 - q^e_i)
+  + sum_{i,j} k_i (k_j - [i = j]) q^(e_i + e_j - ij) (1 - q^(ij)),
+  a sum of nonnegative terms over single super-vertices and ordered pairs
+  of distinct ones; e_i + e_j - ij >= ij for any such pair, so no power of
+  q has a negative exponent.
 
 Limits as N grows:
 
-* connectivity probability at p = (ln N + c)/N: 0 when c -> -inf;
-  exp(-exp(-c)) for fixed c with u = 1; 1 for fixed c with u > 1 or
-  c -> +inf.
+* connectivity probability at p = (ln N + c)/N: 0 for c = -inf;
+  exp(-exp(-c)) for finite c with u = 1; 1 for finite c with u > 1 and
+  for c = +inf.
 * giant component at p = c/n: L1/N -> rho = sum_i rho(i) mu_i where
   rho(i) = 1 - exp(-(c i / u) S) and S = sum_j j mu_j rho(j) is the
   maximal root of S = sum_j j mu_j (1 - exp(-(c j / u) S)). rho > 0
@@ -24,48 +26,25 @@ Limits as N grows:
 * degree law at p = c/n: Z_k/N -> P(Xi = k) with Xi mixed Poisson,
   P(Xi = k) = sum_i mu_i P(Po(i c) = k).
 
+Reference laws on the integers are truncated in one place, ``lumped_pmf``:
+at the first k where the pmf head leaves a tail below TAIL_LUMP, with that
+tail lumped into the last entry.
+
 Everything here is a pure function; safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .config import LimitProfile, SizeConfiguration
 
-REGIME_KINDS = ("c_to_minus_infinity", "fixed_c", "c_to_plus_infinity")
+TAIL_LUMP = 1e-9  # default truncation: the first k whose tail is below this
 
 _U_EQUAL_ONE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ConnectivityRegime:
-    """Which clause of the connectivity limit applies.
-
-    ``fixed_c`` carries the constant c; the limit kinds ignore it.
-    """
-
-    kind: str
-    c: float = math.nan
-
-    def __post_init__(self):
-        if self.kind not in REGIME_KINDS:
-            raise ValueError(f"unknown regime kind {self.kind!r}")
-        if self.kind == "fixed_c" and not math.isfinite(self.c):
-            raise ValueError("fixed_c regime requires a finite c")
-
-    @classmethod
-    def fixed(cls, c: float) -> "ConnectivityRegime":
-        return cls(kind="fixed_c", c=float(c))
-
-    @classmethod
-    def minus_infinity(cls) -> "ConnectivityRegime":
-        return cls(kind="c_to_minus_infinity")
-
-    @classmethod
-    def plus_infinity(cls) -> "ConnectivityRegime":
-        return cls(kind="c_to_plus_infinity")
 
 
 @dataclass(frozen=True)
@@ -99,10 +78,10 @@ def expected_isolated(config: SizeConfiguration, p: float) -> float:
 def variance_isolated(config: SizeConfiguration, p: float) -> float:
     """Exact finite-N variance of X.
 
-    Evaluated with exponents combined in the log domain so nothing
-    overflows for n in the thousands; the diagonal is folded so the
-    (1-p)^(-ij) factor never appears with a nonnegative exponent. At
-    p = 1, X is identically 0 (N >= 2) or 1 (N = 1), so V = 0.
+    Summed by fsum over nonnegative terms only, with 1 - q^x evaluated as
+    -expm1(x log1p(-p)), so no digits cancel at small p and no power of q
+    overflows as p -> 1. At p = 1, X is identically 0 (N >= 2) or 1
+    (N = 1), so V = 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p!r} outside [0, 1]")
@@ -111,31 +90,32 @@ def variance_isolated(config: SizeConfiguration, p: float) -> float:
     n = config.num_vertices
     log_q = math.log1p(-p)
     items = list(config.counts.items())
-    total = expected_isolated(config, p)
+    terms = []
     for i, ki in items:
         e_i = i * (n - i)
+        terms.append(ki * math.exp(e_i * log_q) * -math.expm1(e_i * log_q))
         for j, kj in items:
-            if i == j:
-                if ki > 1:
-                    total += ki * (ki - 1) * math.exp((2 * e_i - i * i) * log_q)
-                total -= ki * ki * math.exp(2 * e_i * log_q)
-            else:
+            pairs = ki * (kj - (i == j))  # ordered pairs of distinct super-vertices
+            if pairs:
                 e_j = j * (n - j)
-                total += ki * kj * (math.exp((e_i + e_j - i * j) * log_q)
-                                    - math.exp((e_i + e_j) * log_q))
-    return total
+                terms.append(pairs * math.exp((e_i + e_j - i * j) * log_q)
+                             * -math.expm1(i * j * log_q))
+    return math.fsum(terms)
 
 
-def limit_connectivity_probability(regime: ConnectivityRegime, u: float) -> float:
-    """Limiting probability that G(N, K, p) is connected at p = (ln N + c)/N."""
-    if u < 1.0 - 1e-12:
-        raise ValueError(f"u must be >= 1, got {u}")
-    if regime.kind == "c_to_minus_infinity":
+def limit_connectivity_probability(c: float, u: float) -> float:
+    """Limiting probability that G(N, K, p) is connected at p = (ln N + c)/N.
+
+    c = -inf and c = +inf stand for the limits c -> -inf and c -> +inf.
+    """
+    if math.isnan(c):
+        raise ValueError("c must not be NaN")
+    if not math.isfinite(u) or u < 1.0 - 1e-12:
+        raise ValueError(f"u must be finite and >= 1, got {u}")
+    if c == -math.inf:
         return 0.0
-    if regime.kind == "c_to_plus_infinity":
-        return 1.0
     if abs(u - 1.0) <= _U_EQUAL_ONE_TOL:
-        return math.exp(-math.exp(-regime.c))
+        return math.exp(-math.exp(-c))  # 1.0 at c = +inf
     return 1.0
 
 
@@ -234,29 +214,43 @@ def mixed_poisson_pmf(profile: LimitProfile, c: float, k: int) -> float:
     return math.fsum(m * poisson_pmf(i * c, k) for i, m in profile.mu.items())
 
 
-def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
-    """P(Xi >= k) = 1 - sum_{j<k} P(Xi = j)."""
-    if k <= 0:
-        return 1.0
-    head = math.fsum(mixed_poisson_pmf(profile, c, j) for j in range(k))
-    return min(1.0, max(0.0, 1.0 - head))
+def tail_mass(head: list[float]) -> float:
+    """P(X >= k) from head = [P(X = 0), ..., P(X = k-1)], clamped to [0, 1]."""
+    return min(1.0, max(0.0, 1.0 - math.fsum(head)))
 
 
-def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = 1e-9) -> list[float]:
-    """[P(Xi = k) for k below degree_pmf_cutoff], from one pass over k."""
-    _check_c(c)
-    head = []
+def lumped_pmf(pmf: Callable[[int], float], tail_below: float = TAIL_LUMP) -> list[float]:
+    """[pmf(0), ..., pmf(K-1), P(X >= K)] for the first K where the head leaves
+    a tail below tail_below.
+
+    The stop rule tests the naive running total of the head; the lumped last
+    entry is ``tail_mass`` of the head.
+    """
+    if not 0.0 < tail_below < 1.0:
+        raise ValueError(f"tail_below must lie in (0, 1), got {tail_below!r}")
+    head: list[float] = []
     total = 0.0
     while 1.0 - total >= tail_below:
-        value = mixed_poisson_pmf(profile, c, len(head))
+        value = pmf(len(head))
         head.append(value)
         total += value
-        if len(head) > 10 ** 6:  # tail of a mixed Poisson always dies; guard anyway
-            raise RuntimeError("degree pmf cutoff did not terminate")
+        if len(head) > 10 ** 6:  # a tail_below under the rounding of the total is never met
+            raise RuntimeError(f"pmf head passed 10^6 terms with a tail of {1.0 - total:.3g} "
+                               f"still >= tail_below={tail_below!r}")
+    head.append(tail_mass(head))
     return head
 
 
-def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = 1e-9) -> int:
+def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
+    """P(Xi >= k) = 1 - sum_{j<k} P(Xi = j)."""
+    return tail_mass([mixed_poisson_pmf(profile, c, j) for j in range(k)])
+
+
+def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
+    """[P(Xi = k) for k below degree_pmf_cutoff]: ``lumped_pmf`` without the lump."""
+    return lumped_pmf(partial(mixed_poisson_pmf, profile, c), tail_below)[:-1]
+
+
+def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> int:
     """Smallest k with P(Xi >= k) < tail_below; the default pmf truncation."""
     return len(degree_pmf_head(profile, c, tail_below))
-

@@ -2,12 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: components
 via BFS instead of hook-and-jump labelling, pair probabilities via plain powers instead
-of expm1/log1p, moments via exhaustive enumeration, fixed points via
-bisection of the scalar S equation and damped Newton on the two-type system
-instead of the production Newton iteration on S.
+of expm1/log1p, moments via exhaustive enumeration or 80-digit decimal
+arithmetic, fixed points via bisection of the scalar S equation and damped
+Newton on the two-type system instead of the production Newton iteration on S.
 """
 
 from collections import deque
+from decimal import Decimal, localcontext
 from itertools import combinations, product
 
 import math
@@ -72,6 +73,25 @@ def enumerate_isolated_moments(counts: dict[int, int], p: float) -> tuple[float,
         e_x += weight * x
         e_x2 += weight * x * x
     return e_x, e_x2 - e_x * e_x
+
+
+def decimal_isolated_variance(counts: dict[int, int], p: float, digits: int = 80) -> float:
+    """V[X] = E[X] + E[X(X-1)] - E[X]^2 in `digits`-digit decimal arithmetic, for 0 < p < 1.
+
+    E[X(X-1)] sums q^(e_a + e_b - ij) over ordered pairs of distinct
+    super-vertices, q = 1 - p and e_i = i(n-i), each power taken as
+    exp(x ln q). The textbook form cancels: on the tests' inputs (N up to
+    10^7, p down to 1e-15) it loses at most about 25 of the digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ln_q = (1 - Decimal(p)).ln()
+        n = sum(i * k for i, k in counts.items())
+        power = lambda x: (x * ln_q).exp()  # noqa: E731
+        mean = sum(k * power(i * (n - i)) for i, k in counts.items())
+        pairs = sum(ki * (kj - (i == j)) * power(i * (n - i) + j * (n - j) - i * j)
+                    for i, ki in counts.items() for j, kj in counts.items())
+        return float(mean + pairs - mean * mean)
 
 
 def small_configs(max_super: int = 4, size_alphabet=(1, 2, 3)):

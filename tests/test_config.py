@@ -81,6 +81,23 @@ class TestEmpiricalProfile:
         with pytest.raises(ValueError):
             LimitProfile(mu={1: 1.0}, u=2.0, s2=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LimitProfile(mu={1: 1.0}, u=math.nan, s2=math.nan),
+        lambda: LimitProfile(mu={1: math.nan}, u=1.0, s2=1.0),
+        lambda: LimitProfile(mu={1: 1.0}, u=1.0, s2=math.inf),
+        lambda: LimitProfile(mu={1: 1.0}, u=math.inf, s2=1.0),
+        lambda: LimitProfile(mu={1.5: 1.0}, u=1.5, s2=1.5),
+        lambda: LimitProfile(mu={True: 1.0}, u=1.0, s2=1.0),
+        lambda: LimitProfile.from_weights({0: 1.0}),
+        lambda: LimitProfile.from_weights({1.5: 1.0}),
+        lambda: LimitProfile.from_weights({1: math.nan}),
+    ], ids=["u-s2-nan", "mu-nan", "s2-inf", "u-inf", "size-1.5", "size-bool",
+            "weights-size-0", "weights-size-1.5", "weights-nan"])
+    def test_non_finite_or_non_integer_rejected(self, make):
+        # NaN compares false, so the tolerance checks alone let these through
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestPowerLaw:
     def test_degenerate_support(self):

@@ -83,7 +83,7 @@ REPORT_PLANS = {
     "degree": ({1: 200, 2: 60, 4: 10}, "sparse", 1.2, 20, 13),
 }
 REPORT_HASHES = {
-    "connectivity": "a7e3adae8d12ec6fc851ae00167c189cbcd4c784f4a81d3a25d276d5beab0357",
+    "connectivity": "e6391e8f76a60531ac05853c46a94bebb01954d76ee43086d637e98a3a7053f5",
     "degree": "0f0454e81997625c4854a173ae79c9ce2725c7276e7ff0c10fe225587f58ba44",
     "giant": "afe71812aa5e1e0c277f5b1e36fb1f4cdbb5279c91c6a11e050f225ca962db9f",
 }

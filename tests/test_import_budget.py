@@ -1,4 +1,4 @@
-"""Importing the package must not pull in scipy.
+"""Importing the package must not pull in scipy, and its export list must hold.
 
 Importing scipy costs 0.24-0.35 s and about 33 MiB per process on a 2-vCPU
 VM, past the benchmark's ``setup_s`` and ``peak_rss_mib`` bounds; scipy is
@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import supergraph
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,3 +22,9 @@ def test_import_supergraph_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_names_resolve_once():
+    names = supergraph.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    assert [n for n in names if not hasattr(supergraph, n)] == []

@@ -1,18 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (bisect_giant_fraction, bisect_homogeneous_survival,
-                     enumerate_isolated_moments, newton_two_type, small_configs)
+                     decimal_isolated_variance, enumerate_isolated_moments,
+                     newton_two_type, small_configs)
 from supergraph.config import LimitProfile, SizeConfiguration, empirical_profile, \
     power_law_configuration
-from supergraph.theory import (ConnectivityRegime, critical_threshold,
-                               degree_pmf_cutoff, degree_pmf_head, expected_isolated,
-                               is_supercritical, limit_connectivity_probability,
-                               limit_kernel, mixed_poisson_pmf,
-                               mixed_poisson_tail, poisson_pmf,
+from supergraph.theory import (critical_threshold, degree_pmf_cutoff, degree_pmf_head,
+                               expected_isolated, is_supercritical,
+                               limit_connectivity_probability, limit_kernel, lumped_pmf,
+                               mixed_poisson_pmf, mixed_poisson_tail, poisson_pmf,
                                solve_giant_fraction, variance_isolated)
 
 PROFILE_HOMOG = LimitProfile.from_weights({1: 1.0})
@@ -63,43 +63,69 @@ class TestIsolatedMoments:
         value = variance_isolated(SizeConfiguration({1: 2000, 2: 500}), 0.01)
         assert math.isfinite(value) and value >= 0.0
 
+    @pytest.mark.parametrize("counts,p", [
+        ({1: 10 ** 6}, 1e-9),
+        ({1: 10 ** 6}, 1e-12),
+        ({1: 2000, 2: 10 ** 6}, 1e-13),
+        ({1: 10 ** 7}, 1e-14),
+        ({1: 10 ** 6}, math.log(10 ** 6) / 10 ** 6),
+    ])
+    def test_variance_at_small_p_vs_decimal(self, counts, p):
+        # on the first four, V formed from E[X] and differences of nearly equal
+        # powers of 1-p is off by 2e-8 to 6e-5
+        want = decimal_isolated_variance(counts, p)
+        assert variance_isolated(SizeConfiguration(counts), p) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.dictionaries(st.integers(1, 50), st.integers(1, 10 ** 6),
+                                  min_size=1, max_size=4),
+           log_p=st.floats(math.log(1e-15), math.log(1e-2)))
+    def test_variance_vs_decimal(self, counts, log_p):
+        p = math.exp(log_p)
+        want = decimal_isolated_variance(counts, p)
+        assume(want >= 1e-250)
+        # exp(x) carries the relative error |x| * 2^-53 of its argument
+        assert variance_isolated(SizeConfiguration(counts), p) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
 
 class TestConnectivityLimit:
     def test_fixed_c_zero_u_one(self):
-        got = limit_connectivity_probability(ConnectivityRegime.fixed(0.0), 1.0)
+        got = limit_connectivity_probability(0.0, 1.0)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_minus_infinity_ignores_u(self):
-        assert limit_connectivity_probability(ConnectivityRegime.minus_infinity(), 2.0) == 0.0
-        assert limit_connectivity_probability(ConnectivityRegime.minus_infinity(), 1.0) == 0.0
+        assert limit_connectivity_probability(-math.inf, 2.0) == 0.0
+        assert limit_connectivity_probability(-math.inf, 1.0) == 0.0
 
     def test_fixed_c_five(self):
-        got = limit_connectivity_probability(ConnectivityRegime.fixed(5.0), 1.0)
+        got = limit_connectivity_probability(5.0, 1.0)
         assert got == pytest.approx(math.exp(-math.exp(-5.0)), abs=1e-15)
 
     def test_u_above_one_gives_one(self):
-        assert limit_connectivity_probability(ConnectivityRegime.fixed(0.0), 1.5) == 1.0
-        assert limit_connectivity_probability(ConnectivityRegime.fixed(-10.0), 2.0) == 1.0
+        assert limit_connectivity_probability(0.0, 1.5) == 1.0
+        assert limit_connectivity_probability(-10.0, 2.0) == 1.0
 
     def test_plus_infinity(self):
-        assert limit_connectivity_probability(ConnectivityRegime.plus_infinity(), 1.0) == 1.0
+        assert limit_connectivity_probability(math.inf, 1.0) == 1.0
+        assert limit_connectivity_probability(math.inf, 2.0) == 1.0
 
     def test_u_equals_one_numeric_tolerance(self):
-        got = limit_connectivity_probability(ConnectivityRegime.fixed(1.0), 1.0 + 1e-12)
+        got = limit_connectivity_probability(1.0, 1.0 + 1e-12)
         assert got == pytest.approx(math.exp(-math.exp(-1.0)), abs=1e-12)
 
     def test_monotone_in_c_at_u_one(self):
-        values = [limit_connectivity_probability(ConnectivityRegime.fixed(c), 1.0)
-                  for c in (-3, -1, 0, 1, 2, 5, 10)]
+        values = [limit_connectivity_probability(c, 1.0)
+                  for c in (-math.inf, -3, -1, 0, 1, 2, 5, 10, math.inf)]
+        assert values[0] == 0.0 and values[-1] == 1.0
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_bad_regime(self):
-        with pytest.raises(ValueError):
-            ConnectivityRegime(kind="sideways")
-        with pytest.raises(ValueError):
-            ConnectivityRegime(kind="fixed_c", c=math.nan)
-        with pytest.raises(ValueError):
-            limit_connectivity_probability(ConnectivityRegime.fixed(0.0), 0.5)
+    def test_bad_arguments(self):
+        for c, u in ((math.nan, 1.0), (math.nan, 2.0), (0.0, math.nan), (0.0, math.inf),
+                     (-math.inf, math.nan), (math.inf, math.inf), (0.0, 0.5)):
+            with pytest.raises(ValueError):
+                limit_connectivity_probability(c, u)
 
 
 class TestKernel:
@@ -285,3 +311,19 @@ class TestMixedPoisson:
         cutoff = degree_pmf_cutoff(PROFILE_HALF, 1.0)
         assert mixed_poisson_tail(PROFILE_HALF, 1.0, cutoff) < 1e-9
         assert mixed_poisson_tail(PROFILE_HALF, 1.0, cutoff - 1) >= 1e-9
+
+    def test_lumped_pmf_appends_the_tail(self):
+        # at lam = 1 the naive running total and fsum of the head differ in the last bits
+        lumped = lumped_pmf(lambda k: poisson_pmf(1.0, k))
+        cutoff = len(lumped) - 1
+        assert lumped[:-1] == [poisson_pmf(1.0, k) for k in range(cutoff)]
+        assert lumped[-1] == mixed_poisson_tail(PROFILE_HOMOG, 1.0, cutoff)
+        assert 0.0 <= lumped[-1] < 1e-9
+        assert math.fsum(lumped) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("tail_below", [math.nan, 0.0, -1.0, 1.0])
+    def test_tail_below_outside_unit_interval(self, tail_below):
+        with pytest.raises(ValueError, match="tail_below"):
+            lumped_pmf(lambda k: poisson_pmf(1.0, k), tail_below)
+        with pytest.raises(ValueError, match="tail_below"):
+            degree_pmf_head(PROFILE_HALF, 1.0, tail_below)
