@@ -2,7 +2,8 @@
 
 The hashes pin exact bytes: the edge arrays of both samplers over a grid of
 configurations, p and seeds, the edge list printed by ``supergraph
-generate``, and the JSON reports of the three experiments with the
+generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
+digits), and the JSON reports of the three experiments with the
 ``wall_time`` line removed. A refactor of the kernels, the component
 labelling or the theory must leave all of them unchanged.
 """
@@ -76,6 +77,12 @@ GENERATE_HASHES = {
     "direct": "6df5c7676d633da2ac9922d7cd9e4c53fed59ae263567ad876c3302db00d9290",
     "constructive": "0f9e35d2338940d30af1c9d6888cd624d947dd71a7a245ab154ee00436583e7a",
 }
+WIDE_GENERATE_ARGV = ["generate", "--inline", "1x150000,2x60000", "--regime", "sparse",
+                      "--c", "1.5", "--seed", "9"]
+WIDE_GENERATE_HASHES = {
+    "direct": "55d380a4157aadcc875d543f15314aca8bcad72940a7405fadc14ac92f944168",
+    "constructive": "b67e270b568e6225441efb7039442049fd67fcdb64c97f8ed0740499ed3f1e67",
+}
 
 REPORT_PLANS = {
     "connectivity": ({1: 200, 2: 50}, "connectivity", 0.5, 40, 11),
@@ -115,6 +122,12 @@ def test_sampler_edges(sampler, counts, p):
 def test_generate_bytes(capsys, sampler):
     assert cli.main(GENERATE_ARGV + ["--sampler", sampler]) == 0
     assert _sha(capsys.readouterr().out.encode()) == GENERATE_HASHES[sampler]
+
+
+@pytest.mark.parametrize("sampler", ["direct", "constructive"])
+def test_generate_bytes_wide_endpoints(capsys, sampler):
+    assert cli.main(WIDE_GENERATE_ARGV + ["--sampler", sampler]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == WIDE_GENERATE_HASHES[sampler]
 
 
 @pytest.mark.parametrize("experiment", sorted(REPORT_PLANS))
