@@ -9,7 +9,6 @@ the wall_time field.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -82,9 +81,11 @@ def _cmd_generate(args) -> int:
     params = resolve_p(args.regime, args.c, config)
     sampler = sample_constructive if args.sampler == "constructive" else sample_direct
     graph = sampler(config, params, args.seed)
-    buf = io.StringIO()
-    write_edge_list(graph, buf)
-    _write(args, buf.getvalue())
+    if args.out is None:
+        write_edge_list(graph, sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_edge_list(graph, fh)
     return 0
 
 

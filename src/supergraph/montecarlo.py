@@ -74,9 +74,9 @@ class ExperimentReport:
 def total_variation(pmf_a: dict[int, float], pmf_b: dict[int, float]) -> float:
     """(1/2) sum_k |a_k - b_k| over the union of supports."""
     for name, pmf in (("first", pmf_a), ("second", pmf_b)):
+        if any(not math.isfinite(v) or v < 0 for v in pmf.values()):
+            raise ValueError(f"{name} pmf has a negative or non-finite mass")
         total = math.fsum(pmf.values())
-        if any(v < 0 for v in pmf.values()):
-            raise ValueError(f"{name} pmf has negative mass")
         if total > 1.0 + 1e-9:
             raise ValueError(f"{name} pmf sums to {total}, above 1")
     support = set(pmf_a) | set(pmf_b)

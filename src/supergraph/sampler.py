@@ -12,6 +12,9 @@ Two independently implemented mechanisms that must agree in distribution:
 
 Both are deterministic given (config, params, seed) and run in expected
 time O(N + edges) via per-block geometric skipping.
+
+``write_edge_list`` exports a graph as text. It formats the edges in numpy
+digit buffers, a chunk of rows at a time, with no per-edge Python loop.
 """
 
 from __future__ import annotations
@@ -157,10 +160,43 @@ def sample_constructive(config: SizeConfiguration, params: ModelParams, seed: in
     return _build(config, params.p, _check_seed(seed), constructive=True)
 
 
+_CHUNK_ROWS = 1 << 16
+# Endpoints lie below _MAX_SUPER < 2^32, so uint32 holds them and a digit
+# count is 1 + the number of powers 10^1 .. 10^9 at or below the endpoint.
+_POW10 = 10 ** np.arange(1, 10, dtype=np.uint32)
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """The "u v" lines of an (m, 2) array, m >= 1, of endpoints in [0, 2^32).
+
+    Each endpoint takes its digits plus one separator byte; one cumsum of
+    those widths gives every field's end. Digits are written right to left,
+    one divmod by 10 per digit position, over the endpoints that still have
+    a digit there.
+    """
+    x = rows.astype(np.uint32).ravel()
+    ends = np.cumsum(np.searchsorted(_POW10, x, side="right") + 2)
+    buf = np.empty(int(ends[-1]), np.uint8)
+    buf[ends[0::2] - 1] = ord(" ")
+    buf[ends[1::2] - 1] = ord("\n")
+    pos = ends - 2
+    while x.size:
+        x, digit = np.divmod(x, 10)
+        buf[pos] = digit.astype(np.uint8) + ord("0")
+        more = x > 0
+        x, pos = x[more], pos[more] - 1
+    return buf.tobytes().decode("ascii")
+
+
 def write_edge_list(graph: SuperGraph, out: TextIO) -> None:
-    """Write the export format: a header line, then one "u v" line per edge."""
+    """Write the export format: a header line, then one "u v" line per edge.
+
+    The edge lines are formatted in numpy, at most _CHUNK_ROWS rows at a
+    time, with no per-edge Python loop.
+    """
     sizes, counts = np.unique(graph.sizes, return_counts=True)
     spec = ",".join(f"{int(i)}x{int(k)}" for i, k in zip(sizes, counts))
     out.write(f"# N={graph.num_super} sizes={spec}\n")
-    for u, v in graph.edges.tolist():
-        out.write(f"{u} {v}\n")
+    edges = graph.edges
+    for start in range(0, edges.shape[0], _CHUNK_ROWS):
+        out.write(_format_rows(edges[start:start + _CHUNK_ROWS]))

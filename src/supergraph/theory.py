@@ -121,10 +121,9 @@ def limit_connectivity_probability(c: float, u: float) -> float:
 
 def limit_kernel(i: int, j: int, c: float, u: float) -> float:
     """Limit connection kernel (c/u) * i * j on the size space."""
-    if u < 1.0 - 1e-12:
-        raise ValueError(f"u must be >= 1, got {u}")
-    if c < 0.0:
-        raise ValueError(f"c must be >= 0, got {c}")
+    if not math.isfinite(u) or u < 1.0 - 1e-12:
+        raise ValueError(f"u must be finite and >= 1, got {u}")
+    _check_c(c)
     return (c / u) * i * j
 
 
@@ -197,8 +196,8 @@ def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
 
 def poisson_pmf(lam: float, k: int) -> float:
     """P(Po(lam) = k), via log-gamma so large k stays stable."""
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if k < 0:
         return 0.0
     if lam == 0.0:

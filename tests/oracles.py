@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: components
 via BFS instead of hook-and-jump labelling, pair probabilities via plain powers instead
 of expm1/log1p, moments via exhaustive enumeration or 80-digit decimal
 arithmetic, fixed points via bisection of the scalar S equation and damped
-Newton on the two-type system instead of the production Newton iteration on S.
+Newton on the two-type system instead of the production Newton iteration on S,
+edge lines via one Python f-string per row instead of numpy digit buffers.
 """
 
 from collections import deque
@@ -37,6 +38,11 @@ def bfs_component_sizes(n: int, edges) -> list[int]:
                     queue.append(y)
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def format_edge_lines(rows) -> str:
+    """The export's "u v" lines, one f-string per row of integer pairs."""
+    return "".join(f"{u} {v}\n" for u, v in rows)
 
 
 def expand_sizes(counts: dict[int, int]) -> list[int]:

@@ -34,6 +34,21 @@ class TestGenerate:
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[0] == "# N=3 sizes=1x3"
 
+    def test_out_file_bytes_equal_stdout(self, tmp_path, capsys):
+        argv = ["generate", "--inline", "1x3000,2x1000", "--regime", "sparse", "--c", "1.5",
+                "--seed", "4"]
+        path = tmp_path / "edges.txt"
+        _, out, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    def test_failed_sample_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "edges.txt"
+        code, _, err = run_cli(capsys, "generate", "--inline", "1x3", "--regime", "raw",
+                               "--c", "1", "--seed", "-1", "--out", str(path))
+        assert code == 1 and "seed" in err
+        assert not path.exists()
+
 
 class TestPredict:
     def test_two_size_prediction(self, capsys):

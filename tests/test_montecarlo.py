@@ -32,6 +32,16 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             total_variation({0: 0.9, 1: 0.2}, {0: 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_mass_rejected_in_first(self, bad):
+        with pytest.raises(ValueError, match="first"):
+            total_variation({0: bad}, {0: 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_mass_rejected_in_second(self, bad):
+        with pytest.raises(ValueError, match="second"):
+            total_variation({0: 1.0}, {0: bad})
+
     def test_partial_mass_allowed(self):
         # truncated empirical pmfs legitimately sum below 1
         assert total_variation({0: 0.5}, {0: 1.0}) == pytest.approx(0.25, abs=1e-15)

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import format_edge_lines
 from supergraph import rng, sampler
 from supergraph.config import SizeConfiguration
 from supergraph.sampler import (ModelParams, SuperGraph, edge_probability,
@@ -248,6 +249,12 @@ class TestSuperGraphType:
         assert g.num_vertices == 5 + 6 + 6
 
 
+# 10^k - 1 and 10^k for every digit count an endpoint below _MAX_SUPER can have
+DIGIT_BOUNDARIES = [b for k in range(1, 10) for b in (10 ** k - 1, 10 ** k)]
+ENDPOINTS = st.one_of(st.sampled_from([0, *DIGIT_BOUNDARIES, sampler._MAX_SUPER - 1]),
+                      st.integers(0, sampler._MAX_SUPER - 1))
+
+
 class TestExport:
     def test_edge_list_format(self):
         cfg = SizeConfiguration({1: 2, 3: 1})
@@ -264,3 +271,24 @@ class TestExport:
         buf = io.StringIO()
         write_edge_list(graph, buf)
         assert buf.getvalue() == "# N=10 sizes=1x10\n"
+
+    def test_formats_every_digit_boundary(self):
+        rows = np.array(DIGIT_BOUNDARIES + [0, sampler._MAX_SUPER - 1], np.int64).reshape(-1, 2)
+        assert sampler._format_rows(rows) == format_edge_lines(rows.tolist())
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), min_size=1, max_size=60))
+    def test_formatter_matches_per_line_oracle(self, rows):
+        assert sampler._format_rows(np.array(rows, np.int64)) == format_edge_lines(rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_chunks_stitch_to_the_oracle(self, monkeypatch, chunk_rows):
+        cfg = SizeConfiguration({1: 300, 2: 100})
+        graph = sample_direct(cfg, resolve_p("sparse", 1.5, cfg), 5)
+        assert graph.edge_count % 7
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+        buf = io.StringIO()
+        write_edge_list(graph, buf)
+        header, body = buf.getvalue().split("\n", 1)
+        assert header == "# N=400 sizes=1x300,2x100"
+        assert body == format_edge_lines(graph.edges.tolist())

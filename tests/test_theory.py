@@ -134,6 +134,12 @@ class TestKernel:
         assert limit_kernel(2, 3, 2.0, 1.5) == pytest.approx(8.0, abs=1e-15)
         assert limit_kernel(4, 9, 0.0, 2.0) == 0.0
 
+    @pytest.mark.parametrize("c,u", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (1.0, math.inf), (-1.0, 1.0), (1.0, 0.5)])
+    def test_rejects_nonfinite_or_out_of_range(self, c, u):
+        with pytest.raises(ValueError):
+            limit_kernel(1, 1, c, u)
+
 
 class TestCriticalThreshold:
     def test_homogeneous_collapses_to_classic(self):
@@ -281,6 +287,11 @@ class TestMixedPoisson:
     def test_poisson_pmf_stable_at_large_k(self):
         value = poisson_pmf(5.0, 200)
         assert 0.0 < value < 1e-100  # log-gamma path, no overflow to 0/inf
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_poisson_pmf_rejects_nonfinite_or_negative_rate(self, lam):
+        with pytest.raises(ValueError):
+            poisson_pmf(lam, 3)
 
     def test_tail_values(self):
         assert mixed_poisson_tail(PROFILE_HALF, 1.0, 0) == 1.0
