@@ -9,14 +9,13 @@ closed-form predictions (connectivity limit, giant-component fixed point,
 mixed-Poisson degree law), and verifies them by Monte Carlo.
 """
 
-from .config import (LimitProfile, SizeConfiguration, derive_counts,
-                     empirical_profile, parse_configuration, parse_inline,
-                     power_law_configuration, serialize_configuration)
+from .config import (LimitProfile, SizeConfiguration, empirical_profile,
+                     parse_configuration, parse_inline, power_law_configuration,
+                     serialize_configuration)
 from .graph import (ComponentSummary, connected_components, degree_histogram,
                     is_connected, isolated_count, largest_component_fraction)
-from .montecarlo import (ExperimentPlan, ExperimentReport,
-                         run_connectivity_experiment, run_degree_experiment,
-                         run_experiment, run_giant_experiment, total_variation)
+from .montecarlo import (ExperimentPlan, ExperimentReport, run_experiment,
+                         total_variation)
 from .sampler import (ModelParams, SuperGraph, edge_probability, resolve_p,
                       sample_constructive, sample_direct, write_edge_list)
 from .theory import (GiantSolution, critical_threshold, degree_pmf_cutoff,
@@ -28,14 +27,12 @@ from .theory import (GiantSolution, critical_threshold, degree_pmf_cutoff,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LimitProfile", "SizeConfiguration", "derive_counts", "empirical_profile",
+    "LimitProfile", "SizeConfiguration", "empirical_profile",
     "parse_configuration", "parse_inline", "power_law_configuration",
     "serialize_configuration",
     "ComponentSummary", "connected_components", "degree_histogram",
     "is_connected", "isolated_count", "largest_component_fraction",
-    "ExperimentPlan", "ExperimentReport", "run_connectivity_experiment",
-    "run_degree_experiment", "run_experiment", "run_giant_experiment",
-    "total_variation",
+    "ExperimentPlan", "ExperimentReport", "run_experiment", "total_variation",
     "ModelParams", "SuperGraph", "edge_probability", "resolve_p",
     "sample_constructive", "sample_direct", "write_edge_list",
     "GiantSolution", "critical_threshold", "degree_pmf_cutoff", "degree_pmf_head",

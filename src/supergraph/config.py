@@ -56,8 +56,11 @@ class SizeConfiguration:
         """(sizes ascending, counts, index offsets) as int64 arrays.
 
         Super-vertices are numbered 0..N-1 by size class in ascending size
-        order; this fixed layout is what seeds reproduce against.
+        order; this fixed layout is what seeds reproduce against. Raises
+        ValueError for a size or count past int64.
         """
+        if max(self.max_size, *self.counts.values()) >= 1 << 63:
+            raise ValueError("sizes and counts must be below 2^63 to sample")
         sizes = np.fromiter(self.counts.keys(), np.int64)
         counts = np.fromiter(self.counts.values(), np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -107,10 +110,20 @@ class LimitProfile:
         return cls(mu=mu, u=u, s2=s2)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """json object hook that rejects a key repeated within one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r} in configuration document")
+        obj[key] = value
+    return obj
+
+
 def parse_configuration(text: str) -> SizeConfiguration:
     """Parse the JSON configuration document ``{"sizes": {"<i>": <k_i>, ...}}``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed configuration document: {exc}") from exc
     if not isinstance(doc, dict) or "sizes" not in doc:
@@ -118,7 +131,7 @@ def parse_configuration(text: str) -> SizeConfiguration:
     sizes = doc["sizes"]
     if not isinstance(sizes, dict) or not sizes:
         raise ValueError('"sizes" must be a nonempty object')
-    counts: dict[int, int] = {}
+    counts = {}
     for key, value in sizes.items():
         try:
             size = int(key)
@@ -126,10 +139,6 @@ def parse_configuration(text: str) -> SizeConfiguration:
             raise ValueError(f"size key {key!r} is not a decimal integer") from None
         if str(size) != key or size < 1:  # canonical decimal only: no "+5", "07", " 1"
             raise ValueError(f"size key {key!r} must be a decimal integer >= 1")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"count for size {size} must be an integer >= 1, got {value!r}")
-        if size in counts:
-            raise ValueError(f"duplicate size {size}")
         counts[size] = value
     return SizeConfiguration(counts)
 
@@ -158,14 +167,9 @@ def parse_inline(text: str) -> SizeConfiguration:
     return SizeConfiguration(counts)
 
 
-def derive_counts(config: SizeConfiguration) -> tuple[int, int]:
-    """(N, n) = (number of super-vertices, number of underlying vertices)."""
-    return config.num_super, config.num_vertices
-
-
 def empirical_profile(config: SizeConfiguration) -> LimitProfile:
     """Finite-N profile: mu_i = k_i/N, u = n/N, s2 = sum j^2 k_j / n."""
-    n_super, n_vert = derive_counts(config)
+    n_super, n_vert = config.num_super, config.num_vertices
     mu = {i: k / n_super for i, k in config.counts.items()}
     s2_num = sum(j * j * k for j, k in config.counts.items())
     return LimitProfile(mu=mu, u=n_vert / n_super, s2=s2_num / n_vert)
@@ -183,7 +187,7 @@ def power_law_configuration(n_super: int, alpha: float, max_size: int) -> SizeCo
     positive and non-increasing below the top size; the top size carries the
     tail atom and may exceed its neighbor.
     """
-    if alpha <= 1.0:
+    if not alpha > 1.0:  # NaN included
         raise ValueError(f"alpha must be > 1 for a summable size profile, got {alpha}")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")

@@ -21,6 +21,21 @@ _DIRECT_DOMAIN = 0
 _CONSTRUCTIVE_DOMAIN = 1
 
 
+def edge_probability(i: int, j: int, p: float) -> float:
+    """Probability 1 - (1-p)^(i*j) that super-vertices of sizes i, j connect.
+
+    Evaluated as -expm1(i*j*log1p(-p)), which stays accurate when p is tiny
+    (sparse regime has p = c/n, easily 1e-6 at desk scale).
+    """
+    if i < 1 or j < 1:
+        raise ValueError("sizes must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p!r} outside [0, 1]")
+    if p == 1.0:
+        return 1.0
+    return -math.expm1(i * j * math.log1p(-p))
+
+
 def _block_positions(npairs_f: float, p_blk: float, root: int,
                         batch_hint: int = 0) -> np.ndarray:
     """Hit positions of a Bernoulli(p_blk) sequence of length npairs_f (int64).
@@ -78,7 +93,6 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
     """Sample one realization's edge arrays (u, v), block by block, of <= 2^53 positions each."""
     p, seed = float(p), int(seed)
     nc = len(class_sizes)
-    log1m_p = math.log1p(-p) if p < 1.0 else 0.0
     eu_parts = [np.empty(0, np.int64)]
     ev_parts = [np.empty(0, np.int64)]
     block = 0
@@ -88,7 +102,9 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
             cb = int(class_counts[b])
             oa = int(class_offsets[a])
             ob = int(class_offsets[b])
-            ij = int(class_sizes[a]) * int(class_sizes[b])
+            size_a = int(class_sizes[a])
+            size_b = int(class_sizes[b])
+            ij = size_a * size_b
             npairs = ca * (ca - 1) // 2 if a == b else ca * cb
 
             if constructive:
@@ -100,13 +116,13 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
             else:
                 stream = 2 * block + _DIRECT_DOMAIN
                 space = npairs
-                p_blk = 1.0 if p >= 1.0 else -math.expm1(ij * log1m_p)
+                p_blk = edge_probability(size_a, size_b, p)
             block += 1
 
             if npairs == 0 or p_blk <= 0.0:
                 continue
             if space > 1 << 53:
-                raise ValueError(f"block of sizes {class_sizes[a]} and {class_sizes[b]} has "
+                raise ValueError(f"block of sizes {size_a} and {size_b} has "
                                  f"{space:.3g} positions, past the 2^53 float64 counts exactly")
             pos = _block_positions(float(space), p_blk, rng.stream_root(seed, stream))
             if constructive:

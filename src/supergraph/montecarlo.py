@@ -1,5 +1,9 @@
 """Monte Carlo experiments over G(N, K, p) with theory comparisons.
 
+``run_experiment(plan)`` is the one entry point: ``plan.experiment`` names
+the experiment (connectivity, giant or degree) and the report carries that
+name.
+
 Trials draw from per-trial RNG streams (master seed, trial index) and are
 aggregated in trial order, so reports never depend on the worker count.
 """
@@ -16,12 +20,10 @@ from functools import partial
 import numpy as np
 
 from . import rng, theory
-from .config import SizeConfiguration, empirical_profile
+from .config import LimitProfile, SizeConfiguration, empirical_profile
 from .graph import connected_components, degrees
 from .sampler import ModelParams, _check_seed, resolve_p, sample_direct
 from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it from here)
-
-EXPERIMENTS = ("connectivity", "giant", "degree")
 
 # Trials run on a thread pool, one worker per usable CPU and trial, once the mean
 # size class (the side of a typical kernel block) has this many super-vertices;
@@ -33,7 +35,7 @@ _POOL_MIN_CLASS_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """What to run: configuration, parameterization, trial count, seed."""
+    """What to run: configuration, parameterization, trial count, seed, experiment."""
 
     config: SizeConfiguration
     regime: str
@@ -171,29 +173,13 @@ def _lump_counts(values: np.ndarray, cutoff: int) -> np.ndarray:
     return np.bincount(np.minimum(values, cutoff), minlength=cutoff + 1)
 
 
-def _meta(plan: ExperimentPlan, params: ModelParams, wall: float) -> dict[str, object]:
-    return {
-        "experiment": plan.experiment,
-        "N": plan.config.num_super,
-        "n": plan.config.num_vertices,
-        "regime": plan.regime,
-        "c": plan.c,
-        "p": params.p,
-        "trials": plan.trials,
-        "seed": plan.seed,
-        "wall_time": wall,
-    }
-
-
-def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Estimate P(connected) and the isolated-count law near the threshold.
+def _connectivity(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
+    """P(connected) and the isolated-count law near the threshold.
 
     Compares P_hat(connected) against the limit exp(-exp(-c)) (u = 1 clause)
     and the empirical distribution of the isolated count X against
     Poisson(E[X]) with the exact finite-N mean.
     """
-    start = time.perf_counter()
-    params = plan.params()
     cfg = plan.config
     n_super = cfg.num_super
     trial_stats, _ = _run_trials(plan, params)
@@ -201,7 +187,6 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     # equivalent connectivity-regime constant for the resolved p
     c_conn = params.p * n_super - math.log(n_super)
-    profile = empirical_profile(cfg)
     expected = theory.expected_isolated(cfg, params.p)
 
     poisson_ref = dict(enumerate(theory.lumped_pmf(partial(theory.poisson_pmf, expected))))
@@ -225,53 +210,36 @@ def run_connectivity_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "c_connectivity": c_conn,
     }
     distributions = {"isolated_empirical": empirical, "isolated_poisson": poisson_ref}
-    return ExperimentReport(
-        experiment="connectivity", estimates=estimates, theory=theory_block,
-        distributions=distributions, trial_stats=trial_stats,
-        meta=_meta(plan, params, time.perf_counter() - start))
+    return estimates, theory_block, distributions, trial_stats
 
 
-def run_giant_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Estimate L1/N, L2/N at p = c/n against the fixed-point fraction rho."""
-    start = time.perf_counter()
-    params = plan.params()
-    cfg = plan.config
-    n_super = cfg.num_super
+def _giant(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
+    """L1/N and L2/N at p = c/n against the fixed-point fraction rho."""
     trial_stats, _ = _run_trials(plan, params)
-
-    profile = empirical_profile(cfg)
-    c_sparse = params.p * cfg.num_vertices
-    solution = theory.solve_giant_fraction(profile, c_sparse)
-
+    n_super = plan.config.num_super
+    c_sparse = params.p * plan.config.num_vertices
     estimates = {
         "l1_fraction": _mean_se(trial_stats["L1"] / n_super),
         "l2_fraction": _mean_se(trial_stats["L2"] / n_super),
     }
     theory_block = {
-        "rho": solution.rho,
+        "rho": theory.solve_giant_fraction(profile, c_sparse).rho,
         "c_star": theory.critical_threshold(profile),
         "c_sparse": c_sparse,
         "s2": profile.s2,
     }
-    return ExperimentReport(
-        experiment="giant", estimates=estimates, theory=theory_block,
-        trial_stats=trial_stats, meta=_meta(plan, params, time.perf_counter() - start))
+    return estimates, theory_block, {}, trial_stats
 
 
-def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Estimate the degree law Z_k/N at p = c/n against the mixed Poisson."""
-    start = time.perf_counter()
-    params = plan.params()
-    cfg = plan.config
-    n_super = cfg.num_super
-    profile = empirical_profile(cfg)
-    c_sparse = params.p * cfg.num_vertices
+def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
+    """The degree law Z_k/N at p = c/n against the mixed Poisson."""
+    c_sparse = params.p * plan.config.num_vertices
     pmf_lumped = theory.lumped_pmf(partial(theory.mixed_poisson_pmf, profile, c_sparse))
     cutoff = len(pmf_lumped) - 1
     trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 
     # average Z_k/N over trials; the counts are exact integers
-    weight = 1.0 / (plan.trials * n_super)
+    weight = 1.0 / (plan.trials * plan.config.num_super)
     empirical = {k: float(v) * weight for k, v in enumerate(totals)}
 
     pmf_theory = dict(enumerate(pmf_lumped))
@@ -298,17 +266,30 @@ def run_degree_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "degree_tail_empirical": tail_emp,
         "degree_tail_theory": tail_th,
     }
-    return ExperimentReport(
-        experiment="degree", estimates=estimates, theory=theory_block,
-        distributions=distributions, trial_stats=trial_stats,
-        meta=_meta(plan, params, time.perf_counter() - start))
+    return estimates, theory_block, distributions, trial_stats
+
+
+EXPERIMENTS = {"connectivity": _connectivity, "giant": _giant, "degree": _degree}
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Dispatch a plan to its experiment runner."""
-    runner = {
-        "connectivity": run_connectivity_experiment,
-        "giant": run_giant_experiment,
-        "degree": run_degree_experiment,
-    }[plan.experiment]
-    return runner(plan)
+    """Run the experiment that plan.experiment names and report it."""
+    start = time.perf_counter()
+    params = plan.params()
+    cfg = plan.config
+    estimates, theory_block, distributions, trial_stats = EXPERIMENTS[plan.experiment](
+        plan, params, empirical_profile(cfg))
+    meta = {
+        "experiment": plan.experiment,
+        "N": cfg.num_super,
+        "n": cfg.num_vertices,
+        "regime": plan.regime,
+        "c": plan.c,
+        "p": params.p,
+        "trials": plan.trials,
+        "seed": plan.seed,
+        "wall_time": time.perf_counter() - start,
+    }
+    return ExperimentReport(experiment=plan.experiment, estimates=estimates,
+                            theory=theory_block, distributions=distributions,
+                            trial_stats=trial_stats, meta=meta)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .config import SizeConfiguration
+from .kernels import edge_probability  # noqa: F401  (public as supergraph.edge_probability)
 
 REGIMES = ("raw", "connectivity", "sparse")
 
@@ -69,21 +70,6 @@ def resolve_p(regime: str, c: float, config: SizeConfiguration) -> ModelParams:
     return ModelParams(regime=regime, c=float(c), p=p)
 
 
-def edge_probability(i: int, j: int, p: float) -> float:
-    """Probability 1 - (1-p)^(i*j) that super-vertices of sizes i, j connect.
-
-    Evaluated as -expm1(i*j*log1p(-p)), which stays accurate when p is tiny
-    (sparse regime has p = c/n, easily 1e-6 at desk scale).
-    """
-    if i < 1 or j < 1:
-        raise ValueError("sizes must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(i * j * math.log1p(-p))
-
-
 @dataclass(frozen=True)
 class SuperGraph:
     """A sampled realization: per-node sizes and a canonical edge array.
@@ -104,8 +90,7 @@ class SuperGraph:
         n = sizes.shape[0]
         if n < 1 or (sizes < 1).any():
             raise ValueError("sizes must be a nonempty vector of integers >= 1")
-        if n > _MAX_SUPER:
-            raise ValueError(f"N={n} exceeds {_MAX_SUPER}: the edge key u*N + v overflows int64")
+        _check_num_super(n)
         if edges.shape[0]:
             if (edges[:, 0] >= edges[:, 1]).any():
                 raise ValueError("edges must satisfy u < v (no self loops)")
@@ -142,7 +127,13 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_num_super(n: int) -> None:
+    if n > _MAX_SUPER:
+        raise ValueError(f"N={n} exceeds {_MAX_SUPER}: the edge key u*N + v overflows int64")
+
+
 def _build(config: SizeConfiguration, p: float, seed: int, constructive: bool) -> SuperGraph:
+    _check_num_super(config.num_super)  # before any array of N entries or past int64 exists
     class_sizes, class_counts, class_offsets = config.size_classes()
     eu, ev = kernels.sample_edges(class_sizes, class_counts, class_offsets, p, seed,
                                   constructive=constructive)

@@ -46,6 +46,9 @@ TAIL_LUMP = 1e-9  # default truncation: the first k whose tail is below this
 
 _U_EQUAL_ONE_TOL = 1e-9
 
+_SOLVER_TOL = 1e-12
+_SOLVER_MAX_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class GiantSolution:
@@ -142,8 +145,7 @@ def _check_c(c: float) -> None:
         raise ValueError(f"c must be finite and >= 0, got {c}")
 
 
-def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
-                         max_iter: int = 10 ** 6) -> GiantSolution:
+def solve_giant_fraction(profile: LimitProfile, c: float) -> GiantSolution:
     """Solve the giant-component fixed point for the kernel (c/u) i j.
 
     Newton's method on f(S) = sum_j j mu_j (1 - exp(-(c j / u) S)) - S from
@@ -156,14 +158,13 @@ def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
     a few ulps of c* rounding can hide the root altogether; S then runs down
     towards 0 (rho < 1e-15) in about a thousand steps.
 
-    Stops when a step is at most tol * S, or when S stops decreasing (f(S)
-    rounds to >= 0); ``iterations`` counts the Newton steps tried and
-    ``residual`` is the last one taken. Subcritical parameters
+    Stops when a step is at most _SOLVER_TOL * S, or when S stops decreasing
+    (f(S) rounds to >= 0); ``iterations`` counts the Newton steps tried and
+    ``residual`` is the last one taken. Past _SOLVER_MAX_STEPS steps it
+    raises RuntimeError with that residual. Subcritical parameters
     (c * s2 <= 1) short-circuit to exactly rho = 0.
     """
     _check_c(c)
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
     mu = profile.mu
     u = profile.u
     if not is_supercritical(profile, c):
@@ -172,7 +173,7 @@ def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
     rates = [(j * m, c * j / u) for j, m in mu.items()]
     s = u
     step = 0.0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _SOLVER_MAX_STEPS + 1):
         f = math.fsum([*(w * -math.expm1(-x * s) for w, x in rates), -s])
         if f >= 0.0:  # S stopped decreasing: it is the root to the last bit
             break
@@ -182,11 +183,11 @@ def solve_giant_fraction(profile: LimitProfile, c: float, tol: float = 1e-12,
             s_next = 0.5 * s
         step = s - s_next
         s = s_next
-        if step <= tol * s:
+        if step <= _SOLVER_TOL * s:
             break
     else:
         raise RuntimeError(
-            f"giant-component fixed point did not converge in {max_iter} iterations "
+            f"giant-component fixed point did not converge in {_SOLVER_MAX_STEPS} iterations "
             f"(c={c}, residual={step:.3e})")
     rho_by_size = {i: -math.expm1(-(c * i / u) * s) for i in mu}
     rho = math.fsum(rho_by_size[i] * m for i, m in mu.items())

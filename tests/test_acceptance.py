@@ -14,8 +14,7 @@ import pytest
 from oracles import bisect_homogeneous_survival, enumerate_isolated_moments, small_configs
 from supergraph import rng, theory
 from supergraph.config import SizeConfiguration, power_law_configuration
-from supergraph.montecarlo import (ExperimentPlan, run_connectivity_experiment,
-                                   run_degree_experiment, run_giant_experiment)
+from supergraph.montecarlo import ExperimentPlan, run_experiment
 from supergraph.sampler import edge_probability, resolve_p, sample_constructive, sample_direct
 
 
@@ -34,7 +33,7 @@ def _plan(counts, regime, c, trials, seed, experiment):
 def connectivity_run_c0():
     """Shared by criteria 1 and 4: {1:5000}, c=0, 2000 trials."""
     start = time.perf_counter()
-    report = run_connectivity_experiment(
+    report = run_experiment(
         _plan({1: 5000}, "connectivity", 0.0, 2000, 1, "connectivity"))
     return report, time.perf_counter() - start
 
@@ -50,7 +49,7 @@ def test_criterion_01_connectivity_limit(connectivity_run_c0):
 
 
 def test_criterion_02_supercritical_u_above_one():
-    report = run_connectivity_experiment(
+    report = run_experiment(
         _plan({2: 2000}, "connectivity", 0.0, 500, 2, "connectivity"))
     p_hat = report.estimates["p_connected"][0]
     ok = p_hat >= 0.99
@@ -58,7 +57,7 @@ def test_criterion_02_supercritical_u_above_one():
 
 
 def test_criterion_03_subcritical_disconnection():
-    report = run_connectivity_experiment(
+    report = run_experiment(
         _plan({1: 5000}, "connectivity", -3.0, 500, 3, "connectivity"))
     p_hat = report.estimates["p_connected"][0]
     ok = p_hat <= 0.01
@@ -93,7 +92,7 @@ def test_criterion_05_exact_moment_oracle():
 
 def test_criterion_06_giant_homogeneous():
     start = time.perf_counter()
-    report = run_giant_experiment(_plan({1: 100_000}, "sparse", 2.0, 20, 6, "giant"))
+    report = run_experiment(_plan({1: 100_000}, "sparse", 2.0, 20, 6, "giant"))
     wall = time.perf_counter() - start
     l1 = report.estimates["l1_fraction"][0]
     l2 = report.estimates["l2_fraction"][0]
@@ -105,8 +104,8 @@ def test_criterion_06_giant_homogeneous():
 
 def test_criterion_07_threshold_location():
     counts = {1: 50_000, 2: 50_000}
-    sub = run_giant_experiment(_plan(counts, "sparse", 0.5, 20, 7, "giant"))
-    sup = run_giant_experiment(_plan(counts, "sparse", 1.2, 20, 7, "giant"))
+    sub = run_experiment(_plan(counts, "sparse", 0.5, 20, 7, "giant"))
+    sup = run_experiment(_plan(counts, "sparse", 1.2, 20, 7, "giant"))
     l1_sub = sub.estimates["l1_fraction"][0]
     l1_sup = sup.estimates["l1_fraction"][0]
     rho = sup.theory["rho"]
@@ -120,7 +119,7 @@ def test_criterion_07_threshold_location():
 
 
 def test_criterion_08_degree_law():
-    report = run_degree_experiment(_plan({1: 50_000, 2: 50_000}, "sparse", 1.0, 10, 8, "degree"))
+    report = run_experiment(_plan({1: 50_000, 2: 50_000}, "sparse", 1.0, 10, 8, "degree"))
     tv = report.estimates["tv_degree"][0]
     pmf0 = report.distributions["degree_hist"][0]
     target0 = 0.5 * math.exp(-1.0) + 0.5 * math.exp(-2.0)
@@ -133,7 +132,7 @@ def test_criterion_09_power_law_tail():
     cfg = power_law_configuration(100_000, 2.0, 50)
     plan = ExperimentPlan(config=cfg, regime="sparse", c=1.0, trials=10, seed=9,
                           experiment="degree")
-    report = run_degree_experiment(plan)
+    report = run_experiment(plan)
     tails = report.distributions["degree_tail_empirical"]
     values = [k * k * tails[k] for k in range(5, 21)]
     mean = sum(values) / len(values)

@@ -184,6 +184,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "2^53" in err
 
+    @pytest.mark.parametrize("command", [["generate"], ["connectivity", "--trials", "2"]],
+                             ids=["generate", "connectivity"])
+    @pytest.mark.parametrize("spec,message", [
+        ("1x100000000000000000000", "overflows int64"),
+        ("100000000000000000000x1", "below 2^63"),
+    ], ids=["count", "size"])
+    def test_oversized_configuration_is_1(self, capsys, command, spec, message):
+        code, out, err = run_cli(capsys, *command, "--inline", spec, "--regime", "sparse",
+                                 "--c", "1", "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("supergraph: error:") and message in err
+
     def test_missing_config_file_is_1(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--config", "/nonexistent.json",
                                "--regime", "raw", "--c", "0.1")

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supergraph.config import (LimitProfile, SizeConfiguration, derive_counts,
-                               empirical_profile, parse_configuration,
-                               parse_inline, power_law_configuration,
-                               serialize_configuration)
+from supergraph.config import (LimitProfile, SizeConfiguration, empirical_profile,
+                               parse_configuration, parse_inline,
+                               power_law_configuration, serialize_configuration)
 
 
 class TestParsing:
@@ -38,6 +37,16 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_configuration(text)
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"sizes": {"1": 5, "1": 7}}', "'1'"),
+        ('{"sizes": {"1": 5, "2": 3, "1": 5}}', "'1'"),
+        ('{"sizes": {"1": 5}, "sizes": {"2": 3}}', "'sizes'"),
+        ('{"sizes": {"1": 5}, "note": {"a": 1, "a": 2}}', "'a'"),
+    ], ids=["size", "size_same_count", "top_level", "nested"])
+    def test_duplicate_keys_rejected(self, text, key):
+        with pytest.raises(ValueError, match=f"duplicate key {key}"):
+            parse_configuration(text)
+
     def test_inline_shorthand(self):
         assert parse_inline("1x500,2x250").counts == {1: 500, 2: 250}
 
@@ -48,14 +57,19 @@ class TestParsing:
 
 
 class TestDeriveCounts:
+    """(N, n) derived from the counts: num_super and num_vertices."""
+
     def test_hand_arithmetic(self):
-        assert derive_counts(SizeConfiguration({1: 2, 3: 1})) == (3, 5)
+        cfg = SizeConfiguration({1: 2, 3: 1})
+        assert (cfg.num_super, cfg.num_vertices) == (3, 5)
 
     def test_all_size_one(self):
-        assert derive_counts(SizeConfiguration({1: 137})) == (137, 137)
+        cfg = SizeConfiguration({1: 137})
+        assert (cfg.num_super, cfg.num_vertices) == (137, 137)
 
     def test_uniform_pairs(self):
-        assert derive_counts(SizeConfiguration({2: 1000})) == (1000, 2000)
+        cfg = SizeConfiguration({2: 1000})
+        assert (cfg.num_super, cfg.num_vertices) == (1000, 2000)
 
 
 class TestEmpiricalProfile:
@@ -133,6 +147,11 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             power_law_configuration(n, alpha, max_size)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, 1.0])
+    def test_rejects_alpha_not_above_one(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be > 1"):
+            power_law_configuration(100, alpha, 5)
+
 
 class TestValidation:
     @pytest.mark.parametrize("counts", [{}, {0: 1}, {1: 0}, {-2: 3}, {2: -1}])
@@ -157,7 +176,7 @@ def test_roundtrip_parse_serialize(cfg):
 @given(configurations())
 @settings(max_examples=200, deadline=None)
 def test_profile_identities(cfg):
-    n_super, n_vert = derive_counts(cfg)
+    n_super, n_vert = cfg.num_super, cfg.num_vertices
     prof = empirical_profile(cfg)
     # u*N = n holds exactly in integer arithmetic before division
     assert prof.u * n_super == pytest.approx(n_vert, abs=1e-9 * n_vert)

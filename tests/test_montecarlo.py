@@ -8,10 +8,8 @@ import pytest
 from supergraph import montecarlo, theory
 from supergraph.cli import render_report
 from supergraph.config import SizeConfiguration, power_law_configuration
-from supergraph.montecarlo import (ExperimentPlan, ExperimentReport,
-                                   run_connectivity_experiment,
-                                   run_degree_experiment, run_experiment,
-                                   run_giant_experiment, total_variation)
+from supergraph.montecarlo import (ExperimentPlan, ExperimentReport, run_experiment,
+                                   total_variation)
 
 
 class TestTotalVariation:
@@ -54,18 +52,18 @@ def plan_for(counts, regime, c, trials, seed, experiment):
 
 class TestConnectivityExperiment:
     def test_p_one_always_connected(self):
-        report = run_connectivity_experiment(plan_for({1: 20}, "raw", 1.0, 50, 5, "connectivity"))
+        report = run_experiment(plan_for({1: 20}, "raw", 1.0, 50, 5, "connectivity"))
         assert report.estimates["p_connected"][0] == 1.0
         assert report.estimates["isolated_mean"][0] == 0.0
 
     def test_p_zero_never_connected(self):
-        report = run_connectivity_experiment(plan_for({1: 20}, "raw", 0.0, 50, 5, "connectivity"))
+        report = run_experiment(plan_for({1: 20}, "raw", 0.0, 50, 5, "connectivity"))
         assert report.estimates["p_connected"][0] == 0.0
         assert report.estimates["isolated_mean"][0] == 20.0
         assert report.estimates["tv_isolated_poisson"][0] <= 1.0
 
     def test_estimates_in_range_and_theory_block(self):
-        report = run_connectivity_experiment(
+        report = run_experiment(
             plan_for({1: 300}, "connectivity", 0.5, 200, 17, "connectivity"))
         p_hat, se = report.estimates["p_connected"]
         assert 0.0 <= p_hat <= 1.0 and se is not None
@@ -79,24 +77,24 @@ class TestConnectivityExperiment:
         monkeypatch.setattr(theory, "expected_isolated",
                             lambda cfg, p: real(cfg, p) + 50.0)
         with pytest.raises(RuntimeError, match="sanity"):
-            run_connectivity_experiment(
+            run_experiment(
                 plan_for({1: 300}, "connectivity", 0.5, 600, 17, "connectivity"))
 
 
 class TestGiantExperiment:
     def test_c_zero_exact(self):
-        report = run_giant_experiment(plan_for({1: 100}, "sparse", 0.0, 10, 3, "giant"))
+        report = run_experiment(plan_for({1: 100}, "sparse", 0.0, 10, 3, "giant"))
         assert report.estimates["l1_fraction"][0] == pytest.approx(1 / 100, abs=1e-15)
         assert report.theory["rho"] == 0.0
 
     def test_supercritical_matches_fixed_point(self):
-        report = run_giant_experiment(plan_for({1: 20000}, "sparse", 2.0, 5, 19, "giant"))
+        report = run_experiment(plan_for({1: 20000}, "sparse", 2.0, 5, 19, "giant"))
         assert report.estimates["l1_fraction"][0] == pytest.approx(0.796812, abs=0.03)
         assert report.estimates["l2_fraction"][0] <= 0.01
         assert report.theory["c_star"] == 1.0
 
     def test_subcritical_small(self):
-        report = run_giant_experiment(plan_for({1: 10000, 2: 10000}, "sparse", 0.5, 5, 19, "giant"))
+        report = run_experiment(plan_for({1: 10000, 2: 10000}, "sparse", 0.5, 5, 19, "giant"))
         assert report.estimates["l1_fraction"][0] <= 0.05
         assert report.theory["rho"] == 0.0
         assert report.theory["c_star"] == pytest.approx(0.6, abs=1e-12)
@@ -104,12 +102,12 @@ class TestGiantExperiment:
 
 class TestDegreeExperiment:
     def test_c_zero_concentrates_at_zero(self):
-        report = run_degree_experiment(plan_for({1: 50}, "sparse", 0.0, 5, 23, "degree"))
+        report = run_experiment(plan_for({1: 50}, "sparse", 0.0, 5, 23, "degree"))
         assert report.distributions["degree_hist"][0] == 1.0
         assert report.estimates["tv_degree"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_limit_small_scale(self):
-        report = run_degree_experiment(plan_for({1: 20000}, "sparse", 1.0, 5, 29, "degree"))
+        report = run_experiment(plan_for({1: 20000}, "sparse", 1.0, 5, 29, "degree"))
         assert report.estimates["tv_degree"][0] <= 0.03
         emp = report.distributions["degree_hist"]
         assert emp[0] == pytest.approx(math.exp(-1), abs=0.02)
@@ -117,7 +115,7 @@ class TestDegreeExperiment:
         assert tails[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_distributions_are_valid_pmfs(self):
-        report = run_degree_experiment(plan_for({1: 500, 2: 500}, "sparse", 1.0, 4, 31, "degree"))
+        report = run_experiment(plan_for({1: 500, 2: 500}, "sparse", 1.0, 4, 31, "degree"))
         for name in ("degree_hist", "degree_theory"):
             pmf = report.distributions[name]
             assert all(v >= 0 for v in pmf.values())
@@ -129,7 +127,7 @@ class TestEstimatorProperties:
         # N <= 100 config, 2000 trials: sample Var(X) within 5 SE of exact
         counts = {1: 60, 2: 20}
         plan = plan_for(counts, "raw", 0.02, 2000, 41, "connectivity")
-        report = run_connectivity_experiment(plan)
+        report = run_experiment(plan)
         s2, se = report.estimates["isolated_variance"]
         exact = theory.variance_isolated(SizeConfiguration(counts), 0.02)
         assert abs(s2 - exact) <= 5 * se
@@ -137,7 +135,7 @@ class TestEstimatorProperties:
     def test_mean_tracks_exact_expectation(self):
         counts = {1: 60, 2: 20}
         plan = plan_for(counts, "raw", 0.02, 2000, 41, "connectivity")
-        report = run_connectivity_experiment(plan)
+        report = run_experiment(plan)
         x_bar, se = report.estimates["isolated_mean"]
         exact = theory.expected_isolated(SizeConfiguration(counts), 0.02)
         assert abs(x_bar - exact) <= 4 * se
@@ -161,8 +159,8 @@ class TestReproducibility:
 
     def test_repeat_runs_identical(self):
         plan = plan_for({1: 100}, "connectivity", 0.0, 30, 777, "connectivity")
-        a = _strip_wall_time(render_report(run_connectivity_experiment(plan), "json"))
-        b = _strip_wall_time(render_report(run_connectivity_experiment(plan), "json"))
+        a = _strip_wall_time(render_report(run_experiment(plan), "json"))
+        b = _strip_wall_time(render_report(run_experiment(plan), "json"))
         assert a == b
 
 
@@ -240,6 +238,12 @@ class TestPlanValidation:
             plan_for({1: 5}, "raw", 0.5, 5, -1, "giant")
         with pytest.raises(ValueError):
             plan_for({1: 5}, "raw", 0.5, 5, 1 << 64, "giant")
+
+    @pytest.mark.parametrize("experiment", ["connectivity", "giant", "degree"])
+    def test_report_names_the_plan_experiment(self, experiment):
+        plan = plan_for({1: 30, 2: 10}, "sparse", 1.0, 3, 5, experiment)
+        report = run_experiment(plan)
+        assert report.experiment == report.meta["experiment"] == plan.experiment
 
     def test_report_dataclass_shape(self):
         report = run_experiment(plan_for({1: 30}, "raw", 0.1, 8, 2, "giant"))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import format_edge_lines
-from supergraph import rng, sampler
+from supergraph import kernels, rng, sampler
 from supergraph.config import SizeConfiguration
 from supergraph.sampler import (ModelParams, SuperGraph, edge_probability,
                                 resolve_p, sample_constructive, sample_direct,
@@ -15,6 +15,9 @@ from supergraph.sampler import (ModelParams, SuperGraph, edge_probability,
 
 
 class TestEdgeProbability:
+    def test_one_definition_shared_with_the_kernel(self):
+        assert edge_probability is kernels.edge_probability
+
     def test_reduces_to_p(self):
         assert edge_probability(1, 1, 0.3) == pytest.approx(0.3, abs=1e-15)
 
@@ -221,6 +224,18 @@ class TestSuperGraphType:
         SuperGraph(sizes=np.ones(3, np.int64), edges=np.array([[0, 2]]))
         with pytest.raises(ValueError, match="overflows int64"):
             SuperGraph(sizes=np.ones(4, np.int64), edges=np.array([[0, 2]]))
+
+    @pytest.mark.parametrize("sample", [sample_direct, sample_constructive])
+    def test_sampling_checks_n_before_building_arrays(self, monkeypatch, sample):
+        # at p = 0 nothing but N limits the arrays, which would hold N entries
+        def no_arrays(config):
+            raise AssertionError("size_classes ran before the N check")
+
+        monkeypatch.setattr(sampler, "_MAX_SUPER", 3)
+        monkeypatch.setattr(SizeConfiguration, "size_classes", no_arrays)
+        config = SizeConfiguration({1: 2, 2: 2})
+        with pytest.raises(ValueError, match="overflows int64"):
+            sample(config, resolve_p("raw", 0.0, config), 0)
 
     @given(st.integers(1, 300).flatmap(_shuffled_edges))
     @example((1, []))
