@@ -9,6 +9,7 @@ the wall_time field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from . import theory
 from .config import (SizeConfiguration, empirical_profile, parse_configuration,
                      parse_inline, power_law_configuration, serialize_configuration)
 from .montecarlo import ExperimentPlan, ExperimentReport, run_experiment
-from .sampler import resolve_p, sample_constructive, sample_direct, write_edge_list
+from .sampler import REGIMES, resolve_p, sample_constructive, sample_direct, write_edge_list
 
 
 def render_report(report: ExperimentReport, fmt: str) -> str:
@@ -60,12 +61,14 @@ def _load_config(args) -> SizeConfiguration:
     return parse_inline(args.inline)
 
 
-def _write(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """Yield stdout, or the --out file opened for writing."""
     if args.out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _add_config_flags(parser) -> None:
@@ -81,11 +84,8 @@ def _cmd_generate(args) -> int:
     params = resolve_p(args.regime, args.c, config)
     sampler = sample_constructive if args.sampler == "constructive" else sample_direct
     graph = sampler(config, params, args.seed)
-    if args.out is None:
-        write_edge_list(graph, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_edge_list(graph, fh)
+    with _output(args) as out:
+        write_edge_list(graph, out)
     return 0
 
 
@@ -109,7 +109,8 @@ def _cmd_predict(args) -> int:
         "rho_by_size": {str(i): v for i, v in sorted(solution.rho_by_size.items())},
         "degree_pmf": theory.degree_pmf_head(profile, c_sparse),
     }
-    _write(args, json.dumps(doc, indent=2) + "\n")
+    with _output(args) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -118,13 +119,15 @@ def _cmd_experiment(args) -> int:
     plan = ExperimentPlan(config=config, regime=args.regime, c=args.c,
                           trials=args.trials, seed=args.seed, experiment=args.experiment)
     report = run_experiment(plan)
-    _write(args, render_report(report, args.format))
+    with _output(args) as out:
+        out.write(render_report(report, args.format))
     return 0
 
 
 def _cmd_powerlaw(args) -> int:
     config = power_law_configuration(args.n, args.alpha, args.max_size)
-    _write(args, serialize_configuration(config) + "\n")
+    with _output(args) as out:
+        out.write(serialize_configuration(config) + "\n")
     return 0
 
 
@@ -141,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample one realization of G(N, K, p) and write it as an edge list "
                     '(header "# N=... sizes=...", then one "u v" line per edge).')
     _add_config_flags(gen)
-    gen.add_argument("--regime", choices=("raw", "connectivity", "sparse"), required=True,
+    gen.add_argument("--regime", choices=REGIMES, required=True,
                      help="how --c is read: raw probability, (ln N + c)/N, or c/n")
     gen.add_argument("--c", type=float, required=True, help="parameter for the regime")
     gen.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "giant-component fraction rho from the kernel fixed point, and "
                     "the mixed-Poisson degree pmf.")
     _add_config_flags(pred)
-    pred.add_argument("--regime", choices=("raw", "connectivity", "sparse"), required=True)
+    pred.add_argument("--regime", choices=REGIMES, required=True)
     pred.add_argument("--c", type=float, required=True)
     pred.add_argument("--out", metavar="PATH")
     pred.set_defaults(func=_cmd_predict)
@@ -181,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} experiment",
                              description=description)
         _add_config_flags(cmd)
-        cmd.add_argument("--regime", choices=("raw", "connectivity", "sparse"),
-                         default=default_regime,
+        cmd.add_argument("--regime", choices=REGIMES, default=default_regime,
                          help=f"parameterization of p (default: {default_regime})")
         cmd.add_argument("--c", type=float, required=True)
         cmd.add_argument("--trials", type=int, default=100)

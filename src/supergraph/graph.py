@@ -51,7 +51,8 @@ def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         cross = pu != pv
         if not cross.any():
             break
-        eu, ev = np.minimum(pu[cross], pv[cross]), np.maximum(pu[cross], pv[cross])
+        pu, pv = pu[cross], pv[cross]
+        eu, ev = np.minimum(pu, pv), np.maximum(pu, pv)
         np.minimum.at(parent, ev, eu)
         while True:
             jumped = parent[parent]

@@ -2,7 +2,9 @@
 
 Edge sampling walks size-class blocks. Within a block every super-vertex
 pair shares one probability, so successes are generated by geometric-gap
-skipping: expected cost O(successes), never O(pairs). Draws come from the
+skipping: expected cost O(successes), never O(pairs). A block is one
+straight path: one batch of draws, one cumulative sum of the gaps and one
+searchsorted for the first position past the block. Draws come from the
 counter-based streams of :mod:`supergraph.rng`, and linear positions
 inside a block are unranked to index pairs in a fixed lexicographic
 order, which is what makes seeds reproduce exactly.
@@ -41,11 +43,11 @@ def _block_positions(npairs_f: float, p_blk: float, root: int,
     """Hit positions of a Bernoulli(p_blk) sequence of length npairs_f (int64).
 
     Draws land in batches sized to cover the whole block with ~6 sigma
-    slack, so the refill loop runs once in practice; batch_hint forces a
-    smaller first batch (tests use it to exercise the stitching).
+    slack, so the loop runs once in practice; batch_hint forces a smaller
+    batch (tests use it to exercise the stitching). Every geometric step is
+    at least 1, so the running positions never decrease and the first one at
+    or past npairs_f, found by searchsorted, ends the block.
     """
-    if p_blk <= 0.0 or npairs_f <= 0.0:
-        return np.empty(0, np.int64)
     if p_blk >= 1.0:
         return np.arange(np.int64(npairs_f))
     log_q = math.log1p(-p_blk)
@@ -57,17 +59,12 @@ def _block_positions(npairs_f: float, p_blk: float, root: int,
         batch = batch_hint if batch_hint > 0 else int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32
         u = rng.uniforms(root, draw, batch)
         draw += batch
-        steps = np.floor(np.log1p(-u) / log_q) + 1.0
-        cum = last + np.cumsum(steps)
-        inside = cum < npairs_f
-        if inside.all():
-            chunks.append(cum.astype(np.int64))
-            last = cum[-1]
-            continue
-        stop = int(np.argmin(inside))  # first overshoot ends the block
-        chunks.append(cum[:stop].astype(np.int64))
-        break
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        cum = last + np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0)
+        inside = int(np.searchsorted(cum, npairs_f))
+        chunks.append(cum[:inside])
+        if inside < batch:  # positions are whole floats below 2^53, so the cast is exact
+            return np.concatenate(chunks, dtype=np.int64, casting="unsafe")
+        last = cum[-1]
 
 
 def _tri_rows(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,18 +89,12 @@ def _tri_rows(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
     """Sample one realization's edge arrays (u, v), block by block, of <= 2^53 positions each."""
     p, seed = float(p), int(seed)
-    nc = len(class_sizes)
+    classes = list(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist()))
     eu_parts = [np.empty(0, np.int64)]
     ev_parts = [np.empty(0, np.int64)]
     block = 0
-    for a in range(nc):
-        for b in range(a, nc):
-            ca = int(class_counts[a])
-            cb = int(class_counts[b])
-            oa = int(class_offsets[a])
-            ob = int(class_offsets[b])
-            size_a = int(class_sizes[a])
-            size_b = int(class_sizes[b])
+    for a, (size_a, ca, oa) in enumerate(classes):
+        for b, (size_b, cb, ob) in enumerate(classes[a:], a):
             ij = size_a * size_b
             npairs = ca * (ca - 1) // 2 if a == b else ca * cb
 
@@ -124,18 +115,10 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
             if space > 1 << 53:
                 raise ValueError(f"block of sizes {size_a} and {size_b} has "
                                  f"{space:.3g} positions, past the 2^53 float64 counts exactly")
-            pos = _block_positions(float(space), p_blk, rng.stream_root(seed, stream))
+            pair = _block_positions(float(space), p_blk, rng.stream_root(seed, stream))
             if constructive:
-                pair = pos // ij
-                keep = np.empty(pair.shape[0], np.bool_)
-                if pair.shape[0]:
-                    keep[0] = True
-                    keep[1:] = pair[1:] != pair[:-1]
-                pair = pair[keep]
-            else:
-                pair = pos
-            if pair.shape[0] == 0:
-                continue
+                pair //= ij
+                pair = pair[np.diff(pair, prepend=-1) != 0]
             if a == b:
                 k, l = _tri_rows(pair, ca)
                 eu_parts.append(oa + k)

@@ -42,11 +42,14 @@ def uniform_at(root: int, index: int) -> float:
 
 
 def uniforms(root: int, start: int, count: int) -> np.ndarray:
-    """Vectorized block of draws ``start .. start+count-1`` of a stream."""
+    """Vectorized block of draws ``start .. start+count-1`` of a stream.
+
+    The arithmetic is on uint64 arrays, which wrap mod 2^64 without a
+    warning (numpy warns only on scalar overflow): the masking of ``mix64``.
+    """
     idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(root) + idx * np.uint64(GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        z = z ^ (z >> np.uint64(31))
+    z = np.uint64(root) + idx * np.uint64(GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
+    z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53

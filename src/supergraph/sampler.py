@@ -112,7 +112,8 @@ class SuperGraph:
 
     @property
     def num_vertices(self) -> int:
-        return int(self.sizes.sum())
+        """n, summed as Python ints: exact where an int64 sum would wrap."""
+        return sum(self.sizes.tolist())
 
     @property
     def edge_count(self) -> int:

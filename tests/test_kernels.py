@@ -34,3 +34,12 @@ class TestBlockPositions:
         want = kernels._block_positions(50_000.0, 0.002, root)
         got = kernels._block_positions(50_000.0, 0.002, root, batch_hint=hint)
         assert np.array_equal(want, got)
+
+    def test_batch_ending_on_the_last_hit(self):
+        # a batch of exactly the hit count ends on the last hit, so the loop
+        # refills once and the next batch overshoots on its first draw
+        root = rng.stream_root(21, 2)
+        want = kernels._block_positions(50_000.0, 0.002, root)
+        assert want.shape[0] > 0
+        got = kernels._block_positions(50_000.0, 0.002, root, batch_hint=want.shape[0])
+        assert np.array_equal(want, got)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from supergraph import rng
@@ -16,6 +18,17 @@ def test_uniform_range_and_reference_consistency():
     batch = rng.uniforms(root, 0, 100)
     assert np.array_equal(np.array(scalar), batch)
     assert all(0.0 <= u < 1.0 for u in scalar)
+
+
+def test_uniforms_wrap_silently_past_2_64():
+    # root + index * GAMMA and both mix products leave 64 bits; uint64 arrays
+    # wrap mod 2^64 without a warning, which is what uniform_at's masking does
+    root, start = rng.MASK64, (1 << 63) - 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = rng.uniforms(root, start, 16)
+    scalar = [rng.uniform_at(root, k) for k in range(start, start + 16)]
+    assert np.array_equal(batch, np.array(scalar))
 
 
 def test_uniforms_block_offsets_agree():

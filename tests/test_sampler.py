@@ -263,6 +263,12 @@ class TestSuperGraphType:
         assert g.num_super == 10
         assert g.num_vertices == 5 + 6 + 6
 
+    def test_num_vertices_past_int64(self):
+        # 3 * 2^62 vertices: an int64 sum of the sizes would wrap negative
+        cfg = SizeConfiguration({2**62: 3})
+        g = sample_direct(cfg, resolve_p("sparse", 1.0, cfg), 1)
+        assert g.num_vertices == cfg.num_vertices == 3 * 2**62
+
 
 # 10^k - 1 and 10^k for every digit count an endpoint below _MAX_SUPER can have
 DIGIT_BOUNDARIES = [b for k in range(1, 10) for b in (10 ** k - 1, 10 ** k)]
