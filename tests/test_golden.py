@@ -1,7 +1,8 @@
 """Golden SHA-256 hashes of sampler edges, ``generate`` output and reports.
 
 The hashes pin exact bytes: the edge arrays of both samplers over a grid of
-configurations, p and seeds, the edge list printed by ``supergraph
+configurations, p and seeds and over a 22-class power-law configuration
+(253 blocks, some of them empty), the edge list printed by ``supergraph
 generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
 digits), and the JSON reports of the three experiments with the
 ``wall_time`` line removed. A refactor of the kernels, the component
@@ -15,7 +16,7 @@ import pytest
 
 from supergraph import cli
 from supergraph.cli import render_report
-from supergraph.config import SizeConfiguration
+from supergraph.config import SizeConfiguration, power_law_configuration
 from supergraph.montecarlo import ExperimentPlan, run_experiment
 from supergraph.sampler import resolve_p, sample_constructive, sample_direct
 
@@ -71,6 +72,15 @@ EDGE_HASHES = {
         "7a0b3d4ac97b1517305f30f5708bd23cf9297b96f1025ebb1925d54725da9e7e",
 }
 
+# 22 size classes, so 253 blocks; the count-1 classes leave their diagonal blocks empty
+MANY_CLASS_CONFIG = (5000, 2.0, 40)
+MANY_CLASS_HASHES = {
+    "sample_direct 1.0": "b09b0b2ef3b4fa31cc3c38d5ab5402554f1a16891b7cba40ba929de2a2fdc11e",
+    "sample_direct 3.0": "d25c8efae6306fdc27c7fbb5318ed766869792d7ad8775d07c908b9da06bae52",
+    "sample_constructive 1.0": "a401d70064aa43a1b72ca0150d865cf435967e3ec96e0d4df62b09c06bb5b3a4",
+    "sample_constructive 3.0": "97a0b50ae3f20764c136340602a2da708bfdede678adc97fcb9a9ad0e65b41b6",
+}
+
 GENERATE_ARGV = ["generate", "--inline", "1x300,2x100,5x20", "--regime", "sparse",
                  "--c", "1.5", "--seed", "7"]
 GENERATE_HASHES = {
@@ -101,8 +111,11 @@ def _sha(data: bytes) -> str:
 
 
 def _edge_digest(sampler, counts, p) -> str:
-    cfg = SizeConfiguration(counts)
-    params = resolve_p("raw", p, cfg)
+    return _seeds_digest(sampler, SizeConfiguration(counts), "raw", p)
+
+
+def _seeds_digest(sampler, cfg, regime, c) -> str:
+    params = resolve_p(regime, c, cfg)
     h = hashlib.sha256()
     for seed in EDGE_SEEDS:
         edges = sampler(cfg, params, seed).edges
@@ -116,6 +129,14 @@ def _edge_digest(sampler, counts, p) -> str:
 def test_sampler_edges(sampler, counts, p):
     key = f"{sampler.__name__} {counts} {p}"
     assert _edge_digest(sampler, counts, p) == EDGE_HASHES[key]
+
+
+@pytest.mark.parametrize("sampler", [sample_direct, sample_constructive])
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_sampler_edges_many_classes(sampler, c):
+    cfg = power_law_configuration(*MANY_CLASS_CONFIG)
+    assert len(cfg.counts) == 22
+    assert _seeds_digest(sampler, cfg, "sparse", c) == MANY_CLASS_HASHES[f"{sampler.__name__} {c}"]
 
 
 @pytest.mark.parametrize("sampler", ["direct", "constructive"])
