@@ -1,18 +1,36 @@
 """Edge-sampling kernel for G(N, K, p), in vectorised numpy.
 
-Edge sampling walks size-class blocks. Within a block every super-vertex
-pair shares one probability, so successes are generated by geometric-gap
-skipping: expected cost O(successes), never O(pairs). A block is one
-straight path: one batch of draws, one cumulative sum of the gaps and one
-searchsorted for the first position past the block. Draws come from the
-counter-based streams of :mod:`supergraph.rng`, and linear positions
-inside a block are unranked to index pairs in a fixed lexicographic
-order, which is what makes seeds reproduce exactly.
+The super-vertex pairs between two size classes, or within one, form a
+block whose pairs share one probability, so its successes are generated by
+geometric-gap skipping: expected cost O(successes), never O(pairs). The
+blocks of a graph are sampled together, not one by one:
+
+* A seed-free table, built once per (classes, p, sampler) and memoised,
+  holds each block's stream, number of positions, probability and
+  ``log1p(-p)``. Building it raises for a block past 2^53 positions
+  before anything is drawn.
+* A pass draws one batch for each of its blocks in one run of the
+  SplitMix64 finalizer over block-local counters, takes one cumulative sum
+  of all the integer gaps and cuts every block at its first position past
+  the block with one searchsorted. A block whose batch ended short draws
+  again from where it stopped; the batches carry ~6 sigma slack, so that
+  is rare.
+* A block whose first batch holds ``_OWN_PASS_DRAWS`` draws or more gets a
+  pass of its own, where its values broadcast as scalars: a graph of a few
+  large blocks does no per-draw bookkeeping. All smaller blocks share one
+  pass, which is what makes a graph of many size classes cheap.
+
+Draws come from the counter-based streams of :mod:`supergraph.rng`, and
+linear positions inside a block are unranked to index pairs in a fixed
+lexicographic order, which is what makes seeds reproduce exactly. The edge
+arrays come out in block order, each block's in position order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +39,19 @@ from . import rng
 # direct sampler uses stream 2*block, constructive 2*block+1
 _DIRECT_DOMAIN = 0
 _CONSTRUCTIVE_DOMAIN = 1
+
+# A block whose first batch holds this many draws gets a pass of its own. On 2
+# vCPUs, thresholds from 2^12 to 2^16 sample the 58-class power-law graph
+# (1,711 blocks) and the 3-block graph 1x500000,2x250000 equally fast within
+# noise; one pass for every block makes the 3-block graph 1.6x slower.
+_OWN_PASS_DRAWS = 1 << 13
+# a block's clipped gaps in one batch sum to at most this, a pass's to at most twice it (< 2^63)
+_SUM_LIMIT = 1 << 61
+
+_GAMMA = np.uint64(rng.GAMMA)
+_U11 = np.uint64(11)
+# (word >> 11) * -2^-53 is minus the draw exactly: the scale is a power of two
+_NEG_UNIT = -rng.UNIT
 
 
 def edge_probability(i: int, j: int, p: float) -> float:
@@ -38,60 +69,51 @@ def edge_probability(i: int, j: int, p: float) -> float:
     return -math.expm1(i * j * math.log1p(-p))
 
 
-def _block_positions(npairs_f: float, p_blk: float, root: int,
-                        batch_hint: int = 0) -> np.ndarray:
-    """Hit positions of a Bernoulli(p_blk) sequence of length npairs_f (int64).
+class _Schedule(NamedTuple):
+    """One round of draws over a run of a pass's open blocks."""
 
-    Draws land in batches sized to cover the whole block with ~6 sigma
-    slack, so the loop runs once in practice; batch_hint forces a smaller
-    batch (tests use it to exercise the stitching). Every geometric step is
-    at least 1, so the running positions never decrease and the first one at
-    or past npairs_f, found by searchsorted, ends the block.
-    """
-    if p_blk >= 1.0:
-        return np.arange(np.int64(npairs_f))
-    log_q = math.log1p(-p_blk)
-    chunks = []
-    last = -1.0
-    draw = 0
-    while True:
-        expect = (npairs_f - last) * p_blk
-        batch = batch_hint if batch_hint > 0 else int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32
-        u = rng.uniforms(root, draw, batch)
-        draw += batch
-        cum = last + np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0)
-        inside = int(np.searchsorted(cum, npairs_f))
-        chunks.append(cum[:inside])
-        if inside < batch:  # positions are whole floats below 2^53, so the cast is exact
-            return np.concatenate(chunks, dtype=np.int64, casting="unsafe")
-        last = cum[-1]
+    run: np.ndarray      # the blocks that draw, ascending
+    batch: np.ndarray    # draws of each
+    starts: np.ndarray   # where each block's draws begin in the round
+    ends: np.ndarray     # and end
+    last: np.ndarray     # the position each block's gaps start from
+    dist: np.ndarray     # space - last: a running gap sum this large leaves the block
+    step: np.ndarray     # uint64 (draws so far - start) * GAMMA: counter offset of each block
+    clip: object         # dist + 1 as float64 per draw, or the one block's value
+    divisor: object      # log_q per draw, or the one block's value
 
 
-def _tri_rows(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    pf = pos.astype(np.float64)
-    k = np.floor((2.0 * m - 1.0 - np.sqrt((2.0 * m - 1.0) ** 2 - 8.0 * pf)) / 2.0).astype(np.int64)
-    np.clip(k, 0, m - 2, out=k)
-    while True:
-        bad = k * (2 * m - k - 1) // 2 > pos
-        if not bad.any():
-            break
-        k[bad] -= 1
-    while True:
-        nxt = (k + 1) * (2 * m - k - 2) // 2
-        good = (k + 1 <= m - 2) & (nxt <= pos)
-        if not good.any():
-            break
-        k[good] += 1
-    l = pos - k * (2 * m - k - 1) // 2 + k + 1
-    return k, l
+class _Blocks(NamedTuple):
+    """Read-only arrays over the blocks of one pass, in block order."""
+
+    index: np.ndarray    # the block's place among the graph's live blocks
+    space: np.ndarray    # positions: super pairs, or underlying vertex pairs (constructive)
+    p_blk: np.ndarray    # success probability of a position
+    log_q: np.ndarray    # math.log1p(-p_blk); -inf where p_blk is 1, which makes every gap 1
+    ij: np.ndarray       # positions per super pair (constructive; 1 in the direct sampler)
+    width: np.ndarray    # count of class b: the row length, or the side of a diagonal block
+    first_u: np.ndarray  # offset of class a
+    first_v: np.ndarray  # offset of class b
+    diag: np.ndarray     # the block pairs a class with itself
+    first: _Schedule     # the first round
 
 
-def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
-    """Sample one realization's edge arrays (u, v), block by block, of <= 2^53 positions each."""
-    p, seed = float(p), int(seed)
-    classes = list(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist()))
-    eu_parts = [np.empty(0, np.int64)]
-    ev_parts = [np.empty(0, np.int64)]
+class _Plan(NamedTuple):
+    keys: np.ndarray                          # rng.stream_keys of each live block's stream
+    passes: tuple[_Blocks, ...]
+    runs: tuple[tuple[int, int, int], ...]    # (pass, first, end): its blocks first..end-1
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(classes: tuple, p: float, constructive: bool) -> _Plan:
+    """The seed-free block table of a graph and the passes that sample it."""
+    rows, streams, own = [], [], []
     block = 0
     for a, (size_a, ca, oa) in enumerate(classes):
         for b, (size_b, cb, ob) in enumerate(classes[a:], a):
@@ -115,18 +137,219 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
             if space > 1 << 53:
                 raise ValueError(f"block of sizes {size_a} and {size_b} has "
                                  f"{space:.3g} positions, past the 2^53 float64 counts exactly")
-            pair = _block_positions(float(space), p_blk, rng.stream_root(seed, stream))
-            if constructive:
-                pair //= ij
-                pair = pair[np.diff(pair, prepend=-1) != 0]
-            if a == b:
-                k, l = _tri_rows(pair, ca)
-                eu_parts.append(oa + k)
-                ev_parts.append(oa + l)
-            else:
-                eu_parts.append(oa + pair // cb)
-                ev_parts.append(ob + pair % cb)
-    return np.concatenate(eu_parts), np.concatenate(ev_parts)
+            log_q = math.log1p(-p_blk) if p_blk < 1.0 else -math.inf
+            expect = (float(space) + 1.0) * p_blk
+            own.append(int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32 >= _OWN_PASS_DRAWS)
+            streams.append(stream)
+            rows.append((space, p_blk, log_q, ij if constructive else 1, cb, oa, ob, a == b))
+
+    # each large block is a pass; the small ones share one. runs list the
+    # passes' blocks in block order, which is the order of the edge arrays
+    members: list[list[int]] = []
+    runs: list[list[int]] = []
+    shared = -1
+    for i, alone in enumerate(own):
+        if alone:
+            members.append([i])
+            runs.append([len(members) - 1, 0, 1])
+            continue
+        if shared < 0:
+            shared = len(members)
+            members.append([])
+        if runs and runs[-1][0] == shared:
+            runs[-1][2] += 1
+        else:
+            runs.append([shared, len(members[shared]), len(members[shared]) + 1])
+        members[shared].append(i)
+
+    dtypes = (np.int64, np.float64, np.float64, np.int64, np.int64, np.int64, np.int64, bool)
+    passes = []
+    for idx in members:
+        cols = zip(*(rows[i] for i in idx))
+        blk = _Blocks(_frozen(idx, np.intp), *(_frozen(c, t) for c, t in zip(cols, dtypes)), None)
+        k = len(idx)
+        passes.append(blk._replace(first=_schedule(blk, np.arange(k), np.full(k, -1, np.int64),
+                                                   np.zeros(k, np.int64))))
+    keys = rng.stream_keys(np.array(streams, np.uint64))
+    keys.setflags(write=False)
+    return _Plan(keys, tuple(passes), tuple(tuple(r) for r in runs))
+
+
+def _spread(values: np.ndarray, counts: np.ndarray):
+    """values[b] repeated counts[b] times, or the value itself when there is one block."""
+    return values[0] if values.shape[0] == 1 else np.repeat(values, counts)
+
+
+def _schedule(blk: _Blocks, todo: np.ndarray, last: np.ndarray, draw: np.ndarray,
+              batch_hint: np.ndarray | None = None) -> _Schedule:
+    """The next round over the open blocks ``todo``, at ``last`` after ``draw`` draws each.
+
+    A batch covers the rest of its block with ~6 sigma slack, so one round is
+    the rule; ``batch_hint[b] > 0`` fixes block b's batch instead (tests use
+    it to exercise the refill). A batch is capped so that its clipped gaps
+    sum to at most 2^61, and the round takes the longest run of open blocks
+    whose caps add up to at most 2^62, so no running sum leaves int64.
+    """
+    dist = blk.space[todo] - last
+    expect = dist * blk.p_blk[todo]
+    batch = (expect + 6.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 32
+    if batch_hint is not None:
+        batch = np.where(batch_hint[todo] > 0, batch_hint[todo], batch)
+    clip = dist + 1
+    np.minimum(batch, _SUM_LIMIT // clip, out=batch)
+    n = np.searchsorted(np.cumsum(batch * clip, dtype=np.float64), 2.0 * _SUM_LIMIT, "right")
+    run, batch = todo[:n], batch[:n]
+    ends = np.cumsum(batch)
+    starts = ends - batch
+    return _Schedule(run, batch, starts, ends, last[:n], dist[:n],
+                     (draw[:n] - starts).astype(np.uint64) * _GAMMA,
+                     _spread(clip[:n].astype(np.float64), batch), _spread(blk.log_q[run], batch))
+
+
+def _round(sched: _Schedule, roots: np.ndarray):
+    """Draw one round and cut each block at its first position past the block.
+
+    Returns the hits (block after block), the number in each block, which
+    blocks' batches ended short of their end, and (None when none did) the
+    position each block reached.
+    """
+    batch, starts, ends = sched.batch, sched.starts, sched.ends
+    n = int(ends[-1])
+    # element i of the round is draw (draws so far) + i - starts[b] of block b's stream
+    z = np.arange(n, dtype=np.uint64)
+    z *= _GAMMA
+    z += _spread(roots[sched.run] + sched.step, batch)
+    rng.mix64_array(z)
+    z >>= _U11
+    gaps = z.astype(np.float64)
+    gaps *= _NEG_UNIT
+    np.log1p(gaps, out=gaps)
+    gaps /= sched.divisor
+    np.floor(gaps, out=gaps)
+    gaps += 1.0
+    # a gap of dist or more leaves the block, so clipping it at dist + 1 keeps
+    # every running sum up to each block's first overshoot exact
+    cum = np.minimum(gaps, sched.clip, out=np.empty(n, np.int64), casting="unsafe")
+    np.cumsum(cum, out=cum)
+    before = cum[starts - 1]
+    before[0] = 0
+    cut = np.searchsorted(cum, before + sched.dist)
+    short = cut >= ends
+    np.minimum(cut, ends, out=cut)
+    found = cut - starts
+    if batch.shape[0] == 1:
+        hits = cum[:found[0]] + sched.last[0]
+    else:
+        hits = cum[np.arange(n) < np.repeat(cut, batch)]
+        hits += np.repeat(sched.last - before, found)
+    reached = sched.last + cum[ends - 1] - before if short.any() else None
+    return hits, found, short, reached
+
+
+def _hits(blk: _Blocks, roots: np.ndarray, batch_hint: np.ndarray | None = None):
+    """Hit positions of every block of a pass (int64, block after block) and the number in each."""
+    k = blk.space.shape[0]
+    if batch_hint is None:
+        sched = blk.first
+    else:
+        sched = _schedule(blk, np.arange(k), np.full(k, -1, np.int64), np.zeros(k, np.int64),
+                          batch_hint)
+    hits, found, short, reached = _round(sched, roots)
+    if reached is None and sched.run.shape[0] == k:
+        return hits, found
+    # some block is still open: draw on from where each one stopped
+    todo = np.arange(k)
+    last = np.full(k, -1, np.int64)
+    draw = np.zeros(k, np.int64)
+    total = np.zeros(k, np.int64)
+    total[sched.run] = found
+    while True:
+        run = sched.run
+        draw[run] += sched.batch
+        if reached is not None:
+            last[run] = reached
+        todo = np.concatenate((run[short], todo[run.shape[0]:]))
+        if not todo.size:
+            return hits, total
+        sched = _schedule(blk, todo, last[todo], draw[todo], batch_hint)
+        got, found, short, reached = _round(sched, roots)
+        hits = np.insert(hits, np.repeat(np.cumsum(total)[sched.run], found), got)
+        total[sched.run] += found
+
+
+def _tri_rows(pos: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """Row k < column l of each rank in the lexicographic order of pairs of m items.
+
+    m is one side for every rank or one per rank. Row k holds the m-1-k
+    ranks from k(2m-k-1)/2 on; the float root of that quadratic guesses k,
+    and whole-number checks move each guess to its row.
+    """
+    side = 2.0 * m - 1.0
+    k = np.floor((side - np.sqrt(side * side - 8.0 * pos)) / 2.0).astype(np.int64)
+    np.clip(k, 0, m - 2, out=k)
+    while True:
+        off = pos - k * (2 * m - 1 - k) // 2
+        low = off < 0
+        high = off >= m - 1 - k
+        if not (low.any() or high.any()):
+            return k, off + k + 1
+        k[low] -= 1
+        k[high] += 1
+
+
+def _pass_edges(blk: _Blocks, roots: np.ndarray, constructive: bool):
+    """Edges (u, v) of one pass's blocks, block after block, and the number in each block."""
+    pair, found = _hits(blk, roots)
+    k = found.shape[0]
+    owner = None if k == 1 else np.repeat(np.arange(k), found)
+
+    def per_hit(values):
+        return values[0] if owner is None else values[owner]
+
+    if constructive:
+        np.floor_divide(pair, per_hit(blk.ij), out=pair)
+        # a super pair is one edge however many of its vertex pairs hit, but
+        # equal pair ranks in two blocks are two edges
+        keep = np.empty(pair.shape[0], bool)
+        np.not_equal(pair[1:], pair[:-1], out=keep[1:])
+        first = np.cumsum(found) - found
+        keep[first[found > 0]] = True
+        pair = pair[keep]
+        if owner is None:
+            found = np.array([pair.shape[0]])
+        else:
+            owner = owner[keep]
+            found = np.bincount(owner, minlength=k)
+
+    width = per_hit(blk.width)
+    if blk.diag.all():
+        rows, cols = _tri_rows(pair, width)
+    else:
+        rows, cols = np.divmod(pair, width)
+        if blk.diag.any():
+            on_diag = blk.diag[owner]
+            rows[on_diag], cols[on_diag] = _tri_rows(pair[on_diag], width[on_diag])
+    rows += per_hit(blk.first_u)
+    cols += per_hit(blk.first_v)
+    return rows, cols, found
+
+
+def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
+    """Sample one realization's edge arrays (u, v), every block of <= 2^53 positions."""
+    plan = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
+                 float(p), bool(constructive))
+    if not plan.runs:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    roots = rng.stream_roots(int(seed), plan.keys)
+    done = [_pass_edges(blk, roots[blk.index], constructive) for blk in plan.passes]
+    if len(plan.runs) == 1:
+        return done[0][:2]
+    at = [np.concatenate(([0], np.cumsum(found))) for _, _, found in done]
+    eu, ev = [], []
+    for g, lo, hi in plan.runs:
+        eu.append(done[g][0][at[g][lo]:at[g][hi]])
+        ev.append(done[g][1][at[g][lo]:at[g][hi]])
+    return np.concatenate(eu), np.concatenate(ev)
 
 
 def numba_enabled() -> bool:

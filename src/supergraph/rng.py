@@ -3,9 +3,11 @@
 Draw ``k`` of stream ``s`` under seed ``seed`` is a pure function of the
 triple, so any worker can generate any slice of any stream without
 coordination, and results never depend on scheduling or batch sizes.
-``uniforms`` is the vectorised form of ``uniform_at`` that the edge kernel
-in :mod:`supergraph.kernels` draws from; ``tests/test_rng.py`` pins the two
-against each other.
+``uniforms`` is the vectorised form of ``uniform_at`` and ``stream_roots``
+that of ``stream_root``; ``mix64_array`` is the finalizer both use, and the
+edge kernel in :mod:`supergraph.kernels` runs it over the counters of many
+streams at once. ``tests/test_rng.py`` pins each array form against its
+scalar one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ _M2 = 0x94D049BB133111EB
 _SEED_SALT = 0x71EE2AC3873B3D1F
 _STREAM_SALT = 0xD6E8FEB86659FD93
 
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
+UNIT = 1.0 / 9007199254740992.0  # 2**-53: a draw is its word's top 53 bits times UNIT
+
+_U = np.uint64
+_S11, _S27, _S30, _S31 = _U(11), _U(27), _U(30), _U(31)
+_UM1, _UM2, _UGAMMA = _U(_M1), _U(_M2), _U(GAMMA)
 
 
 def mix64(z: int) -> int:
@@ -30,26 +36,52 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every word of a uint64 array, in place; returns ``z``.
+
+    uint64 arrays wrap mod 2^64 without a warning (numpy warns only on
+    scalar overflow), which is the masking of ``mix64``.
+    """
+    t = z >> _S30
+    z ^= t
+    z *= _UM1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _UM2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
 def stream_root(seed: int, stream: int) -> int:
     """Derive the base state of an independent stream from (seed, stream id)."""
     return mix64(mix64(seed ^ _SEED_SALT) + mix64(stream ^ _STREAM_SALT))
 
 
+def stream_keys(streams: np.ndarray) -> np.ndarray:
+    """The seed-free half of ``stream_root``, ``mix64(stream ^ salt)``, of each stream id."""
+    return mix64_array(np.asarray(streams, np.uint64) ^ _U(_STREAM_SALT))
+
+
+def stream_roots(seed: int, keys: np.ndarray) -> np.ndarray:
+    """``stream_root(seed, s)`` of every stream s whose ``stream_keys`` entry is in keys."""
+    base = mix64(seed ^ _SEED_SALT)
+    if keys.shape[0] < 8:  # a few Python-int mixes cost less than eight array passes
+        return np.array([mix64(base + k) for k in keys.tolist()], np.uint64)
+    return mix64_array(keys + _U(base))
+
+
 def uniform_at(root: int, index: int) -> float:
     """Draw ``index`` of the stream with base ``root``, uniform on [0, 1)."""
     raw = mix64((root + index * GAMMA) & MASK64)
-    return (raw >> 11) * _INV_2_53
+    return (raw >> 11) * UNIT
 
 
 def uniforms(root: int, start: int, count: int) -> np.ndarray:
-    """Vectorized block of draws ``start .. start+count-1`` of a stream.
-
-    The arithmetic is on uint64 arrays, which wrap mod 2^64 without a
-    warning (numpy warns only on scalar overflow): the masking of ``mix64``.
-    """
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(root) + idx * np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    """Vectorized block of draws ``start .. start+count-1`` of a stream."""
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= _UGAMMA
+    z += _U(root)
+    mix64_array(z)
+    z >>= _S11
+    return z.astype(np.float64) * UNIT

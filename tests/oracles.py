@@ -5,7 +5,9 @@ via BFS instead of hook-and-jump labelling, pair probabilities via plain powers 
 of expm1/log1p, moments via exhaustive enumeration or 80-digit decimal
 arithmetic, fixed points via bisection of the scalar S equation and damped
 Newton on the two-type system instead of the production Newton iteration on S,
-edge lines via one Python f-string per row instead of numpy digit buffers.
+edge lines via one Python f-string per row instead of numpy digit buffers,
+edge arrays via one Python iteration per size-class block instead of the
+kernel's all-blocks pass.
 """
 
 from collections import deque
@@ -13,6 +15,11 @@ from decimal import Decimal, localcontext
 from itertools import combinations, product
 
 import math
+
+import numpy as np
+
+from supergraph import rng
+from supergraph.kernels import edge_probability
 
 
 def bfs_component_sizes(n: int, edges) -> list[int]:
@@ -201,3 +208,98 @@ def newton_two_type(mu: dict[int, float], u: float, c: float) -> dict[int, float
         if abs(dx0) + abs(dx1) < 1e-13:
             break
     return x
+
+
+def _block_positions(npairs_f: float, p_blk: float, root: int,
+                        batch_hint: int = 0) -> np.ndarray:
+    """Hit positions of a Bernoulli(p_blk) sequence of length npairs_f (int64).
+
+    Draws land in batches sized to cover the whole block with ~6 sigma
+    slack, so the loop runs once in practice; batch_hint forces a smaller
+    batch (tests use it to exercise the stitching). Every geometric step is
+    at least 1, so the running positions never decrease and the first one at
+    or past npairs_f, found by searchsorted, ends the block.
+    """
+    if p_blk >= 1.0:
+        return np.arange(np.int64(npairs_f))
+    log_q = math.log1p(-p_blk)
+    chunks = []
+    last = -1.0
+    draw = 0
+    while True:
+        expect = (npairs_f - last) * p_blk
+        batch = batch_hint if batch_hint > 0 else int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32
+        u = rng.uniforms(root, draw, batch)
+        draw += batch
+        cum = last + np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0)
+        inside = int(np.searchsorted(cum, npairs_f))
+        chunks.append(cum[:inside])
+        if inside < batch:  # positions are whole floats below 2^53, so the cast is exact
+            return np.concatenate(chunks, dtype=np.int64, casting="unsafe")
+        last = cum[-1]
+
+
+def _tri_rows(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    pf = pos.astype(np.float64)
+    k = np.floor((2.0 * m - 1.0 - np.sqrt((2.0 * m - 1.0) ** 2 - 8.0 * pf)) / 2.0).astype(np.int64)
+    np.clip(k, 0, m - 2, out=k)
+    while True:
+        bad = k * (2 * m - k - 1) // 2 > pos
+        if not bad.any():
+            break
+        k[bad] -= 1
+    while True:
+        nxt = (k + 1) * (2 * m - k - 2) // 2
+        good = (k + 1 <= m - 2) & (nxt <= pos)
+        if not good.any():
+            break
+        k[good] += 1
+    l = pos - k * (2 * m - k - 1) // 2 + k + 1
+    return k, l
+
+
+def reference_sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
+    """The kernel's edge arrays (u, v), one Python iteration per size-class block.
+
+    Same streams, positions and unranking as ``kernels.sample_edges``; a
+    block past 2^53 positions raises when the loop reaches it.
+    """
+    p, seed = float(p), int(seed)
+    classes = list(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist()))
+    eu_parts = [np.empty(0, np.int64)]
+    ev_parts = [np.empty(0, np.int64)]
+    block = 0
+    for a, (size_a, ca, oa) in enumerate(classes):
+        for b, (size_b, cb, ob) in enumerate(classes[a:], a):
+            ij = size_a * size_b
+            npairs = ca * (ca - 1) // 2 if a == b else ca * cb
+
+            if constructive:
+                # one Bernoulli(p) per underlying cross vertex pair; a hit
+                # anywhere inside a super pair's ij-slot makes the super edge
+                stream = 2 * block + 1
+                space = npairs * ij
+                p_blk = p
+            else:
+                stream = 2 * block
+                space = npairs
+                p_blk = edge_probability(size_a, size_b, p)
+            block += 1
+
+            if npairs == 0 or p_blk <= 0.0:
+                continue
+            if space > 1 << 53:
+                raise ValueError(f"block of sizes {size_a} and {size_b} has "
+                                 f"{space:.3g} positions, past the 2^53 float64 counts exactly")
+            pair = _block_positions(float(space), p_blk, rng.stream_root(seed, stream))
+            if constructive:
+                pair //= ij
+                pair = pair[np.diff(pair, prepend=-1) != 0]
+            if a == b:
+                k, l = _tri_rows(pair, ca)
+                eu_parts.append(oa + k)
+                ev_parts.append(oa + l)
+            else:
+                eu_parts.append(oa + pair // cb)
+                ev_parts.append(ob + pair % cb)
+    return np.concatenate(eu_parts), np.concatenate(ev_parts)

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import pytest
 
 from supergraph import rng
 
@@ -52,3 +53,20 @@ def test_uniform_marginals_look_uniform():
     se = (1 / 12) ** 0.5 / 100_000 ** 0.5
     assert abs(u.mean() - 0.5) < 5 * se
     assert abs((u < 0.25).mean() - 0.25) < 5 * (0.25 * 0.75 / 100_000) ** 0.5
+
+
+def test_mix64_array_matches_mix64():
+    words = [0, 1, 2, 2**63, rng.MASK64, 0x0123456789ABCDEF]
+    got = rng.mix64_array(np.array(words, np.uint64))
+    assert got.tolist() == [rng.mix64(w) for w in words]
+
+
+@pytest.mark.parametrize("n_streams", [1, 7, 8, 100])
+def test_stream_roots_match_stream_root(n_streams):
+    # fewer than eight keys take the Python-int path, more the array path
+    streams = np.arange(n_streams, dtype=np.uint64) * 2 + 1
+    keys = rng.stream_keys(streams)
+    for seed in (0, 31337, rng.MASK64):
+        roots = rng.stream_roots(seed, keys)
+        assert roots.dtype == np.uint64
+        assert roots.tolist() == [rng.stream_root(seed, int(s)) for s in streams]
