@@ -48,11 +48,6 @@ _OWN_PASS_DRAWS = 1 << 13
 # a block's clipped gaps in one batch sum to at most this, a pass's to at most twice it (< 2^63)
 _SUM_LIMIT = 1 << 61
 
-_GAMMA = np.uint64(rng.GAMMA)
-_U11 = np.uint64(11)
-# (word >> 11) * -2^-53 is minus the draw exactly: the scale is a power of two
-_NEG_UNIT = -rng.UNIT
-
 
 def edge_probability(i: int, j: int, p: float) -> float:
     """Probability 1 - (1-p)^(i*j) that super-vertices of sizes i, j connect.
@@ -78,13 +73,13 @@ class _Schedule(NamedTuple):
     ends: np.ndarray     # and end
     last: np.ndarray     # the position each block's gaps start from
     dist: np.ndarray     # space - last: a running gap sum this large leaves the block
-    step: np.ndarray     # uint64 (draws so far - start) * GAMMA: counter offset of each block
+    draw: np.ndarray     # draws each block made in earlier rounds
     clip: object         # dist + 1 as float64 per draw, or the one block's value
     divisor: object      # log_q per draw, or the one block's value
 
 
 class _Blocks(NamedTuple):
-    """Read-only arrays over the blocks of one pass, in block order."""
+    """Read-only arrays over the blocks of one pass, in block order; memoised plans share them."""
 
     index: np.ndarray    # the block's place among the graph's live blocks
     space: np.ndarray    # positions: super pairs, or underlying vertex pairs (constructive)
@@ -168,8 +163,11 @@ def _plan(classes: tuple, p: float, constructive: bool) -> _Plan:
         cols = zip(*(rows[i] for i in idx))
         blk = _Blocks(_frozen(idx, np.intp), *(_frozen(c, t) for c, t in zip(cols, dtypes)), None)
         k = len(idx)
-        passes.append(blk._replace(first=_schedule(blk, np.arange(k), np.full(k, -1, np.int64),
-                                                   np.zeros(k, np.int64))))
+        first = _schedule(blk, np.arange(k), np.full(k, -1, np.int64), np.zeros(k, np.int64))
+        for field in first:
+            if isinstance(field, np.ndarray):
+                field.setflags(write=False)
+        passes.append(blk._replace(first=first))
     keys = rng.stream_keys(np.array(streams, np.uint64))
     keys.setflags(write=False)
     return _Plan(keys, tuple(passes), tuple(tuple(r) for r in runs))
@@ -201,8 +199,7 @@ def _schedule(blk: _Blocks, todo: np.ndarray, last: np.ndarray, draw: np.ndarray
     run, batch = todo[:n], batch[:n]
     ends = np.cumsum(batch)
     starts = ends - batch
-    return _Schedule(run, batch, starts, ends, last[:n], dist[:n],
-                     (draw[:n] - starts).astype(np.uint64) * _GAMMA,
+    return _Schedule(run, batch, starts, ends, last[:n], dist[:n], draw[:n],
                      _spread(clip[:n].astype(np.float64), batch), _spread(blk.log_q[run], batch))
 
 
@@ -215,20 +212,15 @@ def _round(sched: _Schedule, roots: np.ndarray):
     """
     batch, starts, ends = sched.batch, sched.starts, sched.ends
     n = int(ends[-1])
-    # element i of the round is draw (draws so far) + i - starts[b] of block b's stream
-    z = np.arange(n, dtype=np.uint64)
-    z *= _GAMMA
-    z += _spread(roots[sched.run] + sched.step, batch)
-    rng.mix64_array(z)
-    z >>= _U11
-    gaps = z.astype(np.float64)
-    gaps *= _NEG_UNIT
+    gaps = rng.stream_uniforms(roots[sched.run], sched.draw, batch)
+    np.negative(gaps, out=gaps)
     np.log1p(gaps, out=gaps)
     gaps /= sched.divisor
     np.floor(gaps, out=gaps)
     gaps += 1.0
-    # a gap of dist or more leaves the block, so clipping it at dist + 1 keeps
-    # every running sum up to each block's first overshoot exact
+    # a gap of dist or more leaves the block, so clipping it keeps every running
+    # sum up to each block's first overshoot exact; the clip is dist + 1 because
+    # float64 rounds 2^53 + 1 down to 2^53 but 2^53 + 2 stays
     cum = np.minimum(gaps, sched.clip, out=np.empty(n, np.int64), casting="unsafe")
     np.cumsum(cum, out=cum)
     before = cum[starts - 1]

@@ -29,7 +29,8 @@ from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it fr
 # size class (the side of a typical kernel block) has this many super-vertices;
 # shorter numpy calls do not pay for a second thread. 2-worker speed-up on 2 vCPUs
 # (2-3 sweeps) by mean class size: 1000: 0.67-0.86, 1724 (58 classes, N = 100k):
-# 0.80-0.84, 10^4: 0.86-0.96, 2^14: 0.79-1.04, 2^15: 0.88-1.19, 2^16: 1.12-1.74.
+# 0.80-0.84 with a kernel loop per block, 0.87-0.95 with all blocks in one pass,
+# 10^4: 0.86-0.96, 2^14: 0.79-1.04, 2^15: 0.88-1.19, 2^16: 1.12-1.74.
 _POOL_MIN_CLASS_SIZE = 1 << 15
 
 

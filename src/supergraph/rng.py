@@ -3,10 +3,10 @@
 Draw ``k`` of stream ``s`` under seed ``seed`` is a pure function of the
 triple, so any worker can generate any slice of any stream without
 coordination, and results never depend on scheduling or batch sizes.
-``uniforms`` is the vectorised form of ``uniform_at`` and ``stream_roots``
-that of ``stream_root``; ``mix64_array`` is the finalizer both use, and the
-edge kernel in :mod:`supergraph.kernels` runs it over the counters of many
-streams at once. ``tests/test_rng.py`` pins each array form against its
+``stream_uniforms`` is the vectorised form of ``uniform_at`` over runs of
+many streams at once, which is how the edge kernel in
+:mod:`supergraph.kernels` draws, and ``stream_roots`` that of
+``stream_root``; ``tests/test_rng.py`` pins each array form against its
 scalar one.
 """
 
@@ -21,7 +21,7 @@ _M2 = 0x94D049BB133111EB
 _SEED_SALT = 0x71EE2AC3873B3D1F
 _STREAM_SALT = 0xD6E8FEB86659FD93
 
-UNIT = 1.0 / 9007199254740992.0  # 2**-53: a draw is its word's top 53 bits times UNIT
+_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 _U = np.uint64
 _S11, _S27, _S30, _S31 = _U(11), _U(27), _U(30), _U(31)
@@ -74,14 +74,25 @@ def stream_roots(seed: int, keys: np.ndarray) -> np.ndarray:
 def uniform_at(root: int, index: int) -> float:
     """Draw ``index`` of the stream with base ``root``, uniform on [0, 1)."""
     raw = mix64((root + index * GAMMA) & MASK64)
-    return (raw >> 11) * UNIT
+    return (raw >> 11) * _INV_2_53
+
+
+def stream_uniforms(roots: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Draws ``starts[b] .. starts[b] + counts[b] - 1`` of the stream with base ``roots[b]``,
+    stream after stream, as one float64 array."""
+    ends = np.cumsum(counts)
+    # element i of the result is draw i - (ends[b] - counts[b]) + starts[b] of stream b
+    base = roots + (starts - (ends - counts)).astype(np.uint64) * _UGAMMA
+    z = np.arange(ends[-1], dtype=np.uint64)
+    z *= _UGAMMA
+    z += base[0] if base.shape[0] == 1 else np.repeat(base, counts)
+    mix64_array(z)
+    z >>= _S11
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def uniforms(root: int, start: int, count: int) -> np.ndarray:
     """Vectorized block of draws ``start .. start+count-1`` of a stream."""
-    z = np.arange(start, start + count, dtype=np.uint64)
-    z *= _UGAMMA
-    z += _U(root)
-    mix64_array(z)
-    z >>= _S11
-    return z.astype(np.float64) * UNIT
+    return stream_uniforms(np.array([root], np.uint64), np.array([start]), np.array([count]))

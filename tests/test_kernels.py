@@ -151,6 +151,14 @@ class TestAgainstPerBlockReference:
         assert len(cfg.counts) == 58
         _assert_matches_reference(cfg, resolve_p("sparse", 1.0, cfg).p, 1, constructive)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_of_exactly_2_53_positions(self, seed):
+        # the first gap is almost surely past the block; float64 rounds a clip
+        # of 2^53 + 1 down to 2^53, which would land it on the last position
+        cfg = SizeConfiguration({2 ** 26: 1, 2 ** 27: 1})
+        assert int(_plan(cfg, 1e-18, True).passes[0].space[0]) == 2 ** 53
+        _assert_matches_reference(cfg, 1e-18, seed, constructive=True)
+
     def test_rounds_split_to_keep_sums_in_int64(self):
         # 55 blocks of up to 2^52 positions: their capped gap sums pass 2^62,
         # so the first round takes only a prefix of the blocks

@@ -70,3 +70,14 @@ def test_stream_roots_match_stream_root(n_streams):
         roots = rng.stream_roots(seed, keys)
         assert roots.dtype == np.uint64
         assert roots.tolist() == [rng.stream_root(seed, int(s)) for s in streams]
+
+
+def test_stream_uniforms_concatenate_runs_of_each_stream():
+    # runs of three streams, one starting past 2^63 so the counters wrap
+    roots = np.array([rng.stream_root(4, s) for s in range(3)], np.uint64)
+    starts = np.array([0, 17, (1 << 63) - 2])
+    counts = np.array([5, 1, 4])
+    got = rng.stream_uniforms(roots, starts, counts)
+    want = [rng.uniform_at(int(r), k) for r, s, c in zip(roots, starts, counts)
+            for k in range(int(s), int(s) + int(c))]
+    assert got.tolist() == want
