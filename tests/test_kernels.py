@@ -19,9 +19,10 @@ def _plan(cfg, p, constructive=False):
                          p, constructive)
 
 
-def _pass_and_roots(cfg, p, seed, constructive=False, which=0):
+def _pass_and_roots(cfg, p, seed, constructive=False):
+    """The graph's first pass and its blocks' stream roots."""
     plan = _plan(cfg, p, constructive)
-    blk = plan.passes[which]
+    blk = plan.passes[0]
     return blk, rng.stream_roots(seed, plan.keys)[blk.index]
 
 
@@ -95,7 +96,7 @@ class TestBlockPositions:
         got, _ = kernels._hits(blk, roots, batch_hint=np.array([want.shape[0]]))
         assert np.array_equal(want, got)
 
-    def test_one_block_of_many_refills_alone(self):
+    def test_one_block_of_many_refills_alone(self, monkeypatch):
         # one block in the middle of a shared pass draws one number a round,
         # its neighbours draw their usual batch and finish in the first round
         cfg = power_law_configuration(5000, 2.0, 40)
@@ -107,9 +108,19 @@ class TestBlockPositions:
         assert 0 < j < k - 1 and want_found[j] >= 3
         hint = np.zeros(k, np.int64)
         hint[j] = 1
+        runs = []
+        draw_round = kernels._round
+
+        def record(sched, roots):
+            runs.append(sched.run.tolist())
+            return draw_round(sched, roots)
+
+        monkeypatch.setattr(kernels, "_round", record)
         got, found = kernels._hits(blk, roots, batch_hint=hint)
         assert np.array_equal(found, want_found)
         assert np.array_equal(got, want)
+        assert runs[0] == list(range(k))
+        assert runs[1:] == [[j]] * int(want_found[j])
 
     def test_batch_capped_below_2_61_over_the_gap_clip(self):
         # one block of 2^52 positions expecting ~1000 hits: its batch is cut
