@@ -13,7 +13,7 @@ from .config import (LimitProfile, SizeConfiguration, empirical_profile,
                      parse_configuration, parse_inline, power_law_configuration,
                      serialize_configuration)
 from .graph import (ComponentSummary, connected_components, degree_histogram,
-                    is_connected, isolated_count, largest_component_fraction)
+                    isolated_count)
 from .montecarlo import (ExperimentPlan, ExperimentReport, run_experiment,
                          total_variation)
 from .sampler import (ModelParams, SuperGraph, edge_probability, resolve_p,
@@ -31,7 +31,7 @@ __all__ = [
     "parse_configuration", "parse_inline", "power_law_configuration",
     "serialize_configuration",
     "ComponentSummary", "connected_components", "degree_histogram",
-    "is_connected", "isolated_count", "largest_component_fraction",
+    "isolated_count",
     "ExperimentPlan", "ExperimentReport", "run_experiment", "total_variation",
     "ModelParams", "SuperGraph", "edge_probability", "resolve_p",
     "sample_constructive", "sample_direct", "write_edge_list",

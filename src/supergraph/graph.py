@@ -70,10 +70,6 @@ def connected_components(graph: SuperGraph) -> ComponentSummary:
     return ComponentSummary(sizes_desc=sizes, isolated_count=int((sizes == 1).sum()))
 
 
-def is_connected(graph: SuperGraph) -> bool:
-    return connected_components(graph).sizes_desc.shape[0] == 1
-
-
 def isolated_count(graph: SuperGraph) -> int:
     """Number of super-vertices of degree 0 (the observable X)."""
     return int((degrees(graph) == 0).sum())
@@ -83,8 +79,3 @@ def degree_histogram(graph: SuperGraph) -> dict[int, int]:
     """Sparse map degree k -> count Z_k; sum k*Z_k = 2|E|."""
     counts = np.bincount(degrees(graph))
     return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
-
-
-def largest_component_fraction(graph: SuperGraph) -> float:
-    """L1 / N."""
-    return float(connected_components(graph).sizes_desc[0]) / graph.num_super

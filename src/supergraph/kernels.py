@@ -23,7 +23,8 @@ blocks of a graph are sampled together, not one by one:
 Draws come from the counter-based streams of :mod:`supergraph.rng`, and
 linear positions inside a block are unranked to index pairs in a fixed
 lexicographic order, which is what makes seeds reproduce exactly. The edge
-arrays come out in block order, each block's in position order.
+arrays come out pass after pass, in no order the model defines;
+:class:`supergraph.sampler.SuperGraph` puts them in canonical order.
 """
 
 from __future__ import annotations
@@ -94,9 +95,8 @@ class _Blocks(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    keys: np.ndarray                          # rng.stream_keys of each live block's stream
+    keys: np.ndarray               # rng.stream_keys of each live block's stream
     passes: tuple[_Blocks, ...]
-    runs: tuple[tuple[int, int, int], ...]    # (pass, first, end): its blocks first..end-1
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -138,24 +138,11 @@ def _plan(classes: tuple, p: float, constructive: bool) -> _Plan:
             streams.append(stream)
             rows.append((space, p_blk, log_q, ij if constructive else 1, cb, oa, ob, a == b))
 
-    # each large block is a pass; the small ones share one. runs list the
-    # passes' blocks in block order, which is the order of the edge arrays
-    members: list[list[int]] = []
-    runs: list[list[int]] = []
-    shared = -1
-    for i, alone in enumerate(own):
-        if alone:
-            members.append([i])
-            runs.append([len(members) - 1, 0, 1])
-            continue
-        if shared < 0:
-            shared = len(members)
-            members.append([])
-        if runs and runs[-1][0] == shared:
-            runs[-1][2] += 1
-        else:
-            runs.append([shared, len(members[shared]), len(members[shared]) + 1])
-        members[shared].append(i)
+    # each large block is a pass of its own; the small ones share the last
+    members = [[i] for i, alone in enumerate(own) if alone]
+    small = [i for i, alone in enumerate(own) if not alone]
+    if small:
+        members.append(small)
 
     dtypes = (np.int64, np.float64, np.float64, np.int64, np.int64, np.int64, np.int64, bool)
     passes = []
@@ -170,7 +157,7 @@ def _plan(classes: tuple, p: float, constructive: bool) -> _Plan:
         passes.append(blk._replace(first=first))
     keys = rng.stream_keys(np.array(streams, np.uint64))
     keys.setflags(write=False)
-    return _Plan(keys, tuple(passes), tuple(tuple(r) for r in runs))
+    return _Plan(keys, tuple(passes))
 
 
 def _spread(values: np.ndarray, counts: np.ndarray):
@@ -290,7 +277,7 @@ def _tri_rows(pos: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pass_edges(blk: _Blocks, roots: np.ndarray, constructive: bool):
-    """Edges (u, v) of one pass's blocks, block after block, and the number in each block."""
+    """Edges (u, v) of one pass's blocks, block after block."""
     pair, found = _hits(blk, roots)
     k = found.shape[0]
     owner = None if k == 1 else np.repeat(np.arange(k), found)
@@ -307,11 +294,8 @@ def _pass_edges(blk: _Blocks, roots: np.ndarray, constructive: bool):
         first = np.cumsum(found) - found
         keep[first[found > 0]] = True
         pair = pair[keep]
-        if owner is None:
-            found = np.array([pair.shape[0]])
-        else:
+        if owner is not None:
             owner = owner[keep]
-            found = np.bincount(owner, minlength=k)
 
     width = per_hit(blk.width)
     if blk.diag.all():
@@ -323,25 +307,23 @@ def _pass_edges(blk: _Blocks, roots: np.ndarray, constructive: bool):
             rows[on_diag], cols[on_diag] = _tri_rows(pair[on_diag], width[on_diag])
     rows += per_hit(blk.first_u)
     cols += per_hit(blk.first_v)
-    return rows, cols, found
+    return rows, cols
 
 
 def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
-    """Sample one realization's edge arrays (u, v), every block of <= 2^53 positions."""
+    """Sample one realization's edge arrays (u, v), every block of <= 2^53 positions.
+
+    The arrays hold each pass's edges in turn; ``SuperGraph`` owns their order.
+    """
     plan = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
                  float(p), bool(constructive))
-    if not plan.runs:
+    if not plan.passes:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     roots = rng.stream_roots(int(seed), plan.keys)
     done = [_pass_edges(blk, roots[blk.index], constructive) for blk in plan.passes]
-    if len(plan.runs) == 1:
-        return done[0][:2]
-    at = [np.concatenate(([0], np.cumsum(found))) for _, _, found in done]
-    eu, ev = [], []
-    for g, lo, hi in plan.runs:
-        eu.append(done[g][0][at[g][lo]:at[g][hi]])
-        ev.append(done[g][1][at[g][lo]:at[g][hi]])
-    return np.concatenate(eu), np.concatenate(ev)
+    if len(done) == 1:
+        return done[0]
+    return np.concatenate([u for u, _ in done]), np.concatenate([v for _, v in done])
 
 
 def numba_enabled() -> bool:

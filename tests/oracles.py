@@ -262,7 +262,10 @@ def reference_sample_edges(class_sizes, class_counts, class_offsets, p, seed, co
     """The kernel's edge arrays (u, v), one Python iteration per size-class block.
 
     Same streams, positions and unranking as ``kernels.sample_edges``; a
-    block past 2^53 positions raises when the loop reaches it.
+    block past 2^53 positions raises when the loop reaches it. They come
+    out in block order, each block's in position order, while the
+    kernel joins its passes in pass order, so tests compare the two in
+    canonical order (sorted by the key u*N + v).
     """
     p, seed = float(p), int(seed)
     classes = list(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist()))

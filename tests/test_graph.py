@@ -5,8 +5,7 @@ from oracles import bfs_component_sizes
 from supergraph import kernels, rng
 from supergraph.config import SizeConfiguration
 from supergraph.graph import (connected_components, degree_histogram,
-                              is_connected, isolated_count,
-                              largest_component_fraction)
+                              isolated_count)
 from supergraph.sampler import SuperGraph, resolve_p, sample_direct
 
 
@@ -39,14 +38,16 @@ class TestComponents:
 
 
 class TestIsConnected:
+    """Connected means one component."""
+
     def test_singleton(self):
-        assert is_connected(graph_of(1, []))
+        assert connected_components(graph_of(1, [])).sizes_desc.shape[0] == 1
 
     def test_path(self):
-        assert is_connected(graph_of(3, [(0, 1), (1, 2)]))
+        assert connected_components(graph_of(3, [(0, 1), (1, 2)])).sizes_desc.shape[0] == 1
 
     def test_disconnected(self):
-        assert not is_connected(graph_of(3, [(0, 1)]))
+        assert connected_components(graph_of(3, [(0, 1)])).sizes_desc.shape[0] != 1
 
 
 class TestIsolated:
@@ -81,15 +82,17 @@ class TestDegreeHistogram:
 
 
 class TestLargestFraction:
+    """L1 / N, the giant-component observable."""
+
     def test_empty(self):
-        assert largest_component_fraction(graph_of(5, [])) == pytest.approx(0.2)
+        assert connected_components(graph_of(5, [])).sizes_desc[0] / 5 == pytest.approx(0.2)
 
     def test_complete(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        assert largest_component_fraction(graph_of(4, edges)) == 1.0
+        assert connected_components(graph_of(4, edges)).sizes_desc[0] / 4 == 1.0
 
     def test_hand_trace(self):
-        assert largest_component_fraction(graph_of(4, [(0, 1)])) == 0.5
+        assert connected_components(graph_of(4, [(0, 1)])).sizes_desc[0] / 4 == 0.5
 
 
 def _shuffled_path(rng, n, cut=0):
@@ -149,8 +152,9 @@ class TestAgainstBfsOracle:
         for t in range(20):
             graph = sample_direct(cfg, resolve_p("raw", 0.08, cfg), t)
             summary = connected_components(graph)
-            assert is_connected(graph) == (summary.sizes_desc[0] == graph.num_super)
-            if graph.num_super > 1 and is_connected(graph):
+            connected = summary.sizes_desc.shape[0] == 1
+            assert connected == (summary.sizes_desc[0] == graph.num_super)
+            if graph.num_super > 1 and connected:
                 assert summary.isolated_count == 0
             # the size-1 components must be exactly the degree-0 nodes
             assert summary.isolated_count == isolated_count(graph)

@@ -26,13 +26,19 @@ def _pass_and_roots(cfg, p, seed, constructive=False):
     return blk, rng.stream_roots(seed, plan.keys)[blk.index]
 
 
+def _canonical_keys(eu, ev, n):
+    # the key SuperGraph sorts by; the model defines no order of a graph's edges
+    return np.sort(eu * n + ev)
+
+
 def _assert_matches_reference(cfg, p, seed, constructive):
     arrays = cfg.size_classes()
     got = kernels.sample_edges(*arrays, p, seed, constructive=constructive)
     want = reference_sample_edges(*arrays, p, seed, constructive=constructive)
     assert got[0].dtype == got[1].dtype == np.int64
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert got[0].shape == got[1].shape == want[0].shape == want[1].shape
+    n = cfg.num_super
+    assert np.array_equal(_canonical_keys(*got, n), _canonical_keys(*want, n))
 
 
 class TestTriangularUnranking:
@@ -161,6 +167,15 @@ class TestAgainstPerBlockReference:
         cfg = power_law_configuration(100_000, 2.0, 300)
         assert len(cfg.counts) == 58
         _assert_matches_reference(cfg, resolve_p("sparse", 1.0, cfg).p, 1, constructive)
+
+    @pytest.mark.parametrize("constructive", [False, True])
+    def test_large_block_between_small_ones(self, constructive):
+        # block 3 (the size-2 class with itself) gets a pass of its own, so the
+        # passes join in an order that is not block order
+        cfg = SizeConfiguration({1: 2, 2: 2000, 3: 2})
+        plan = _plan(cfg, 0.01, constructive)
+        assert [blk.index.tolist() for blk in plan.passes] == [[3], [0, 1, 2, 4, 5]]
+        _assert_matches_reference(cfg, 0.01, 6, constructive)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_of_exactly_2_53_positions(self, seed):
