@@ -5,10 +5,11 @@ block whose pairs share one probability, so its successes are generated by
 geometric-gap skipping: expected cost O(successes), never O(pairs). The
 blocks of a graph are sampled together, not one by one:
 
-* A seed-free table, built once per (classes, p, sampler) and memoised,
-  holds each block's stream, number of positions, probability and
-  ``log1p(-p)``. Building it raises for a block past 2^53 positions
-  before anything is drawn.
+* A seed-free, columnar table of the graph's live blocks, built once per
+  (classes, p, sampler) and memoised, holds each block's stream key,
+  number of positions, probability and ``log1p(-p)``. Each pass is a slice
+  of it and so holds its own blocks' stream keys. Building it raises for a
+  block past 2^53 positions before anything is drawn.
 * A pass draws one batch for each of its blocks in one run of the
   SplitMix64 finalizer over block-local counters, takes one cumulative sum
   of all the integer gaps and cuts every block at its first position past
@@ -82,7 +83,7 @@ class _Schedule(NamedTuple):
 class _Blocks(NamedTuple):
     """Read-only arrays over the blocks of one pass, in block order; memoised plans share them."""
 
-    index: np.ndarray    # the block's place among the graph's live blocks
+    keys: np.ndarray     # rng.stream_keys of the block's stream
     space: np.ndarray    # positions: super pairs, or underlying vertex pairs (constructive)
     p_blk: np.ndarray    # success probability of a position
     log_q: np.ndarray    # math.log1p(-p_blk); -inf where p_blk is 1, which makes every gap 1
@@ -94,21 +95,24 @@ class _Blocks(NamedTuple):
     first: _Schedule     # the first round
 
 
-class _Plan(NamedTuple):
-    keys: np.ndarray               # rng.stream_keys of each live block's stream
-    passes: tuple[_Blocks, ...]
+def _freeze(fields):
+    """``fields`` as given, with every array among them marked read-only."""
+    for field in fields:
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+    return fields
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype)
-    out.setflags(write=False)
-    return out
+def _first_batch(dist, p_blk):
+    """Draws that cover ``dist`` positions at ``p_blk`` with ~6 sigma slack."""
+    expect = dist * p_blk
+    return (expect + 6.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 32
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(classes: tuple, p: float, constructive: bool) -> _Plan:
-    """The seed-free block table of a graph and the passes that sample it."""
-    rows, streams, own = [], [], []
+def _plan(classes: tuple, p: float, constructive: bool) -> tuple[_Blocks, ...]:
+    """The passes that sample a graph, cut from its seed-free block table; () if no block is live."""
+    rows = []
     block = 0
     for a, (size_a, ca, oa) in enumerate(classes):
         for b, (size_b, cb, ob) in enumerate(classes[a:], a):
@@ -133,31 +137,25 @@ def _plan(classes: tuple, p: float, constructive: bool) -> _Plan:
                 raise ValueError(f"block of sizes {size_a} and {size_b} has "
                                  f"{space:.3g} positions, past the 2^53 float64 counts exactly")
             log_q = math.log1p(-p_blk) if p_blk < 1.0 else -math.inf
-            expect = (float(space) + 1.0) * p_blk
-            own.append(int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32 >= _OWN_PASS_DRAWS)
-            streams.append(stream)
-            rows.append((space, p_blk, log_q, ij if constructive else 1, cb, oa, ob, a == b))
+            rows.append((stream, space, p_blk, log_q, ij if constructive else 1, cb, oa, ob, a == b))
+    if not rows:
+        return ()
 
+    dtypes = (np.uint64, np.int64, np.float64, np.float64, np.int64, np.int64, np.int64, np.int64, bool)
+    streams, *cols = (np.array(col, t) for col, t in zip(zip(*rows), dtypes))
+    table = _Blocks(rng.stream_keys(streams), *cols, None)
     # each large block is a pass of its own; the small ones share the last
-    members = [[i] for i, alone in enumerate(own) if alone]
-    small = [i for i, alone in enumerate(own) if not alone]
-    if small:
-        members.append(small)
-
-    dtypes = (np.int64, np.float64, np.float64, np.int64, np.int64, np.int64, np.int64, bool)
+    own = _first_batch(table.space + 1, table.p_blk) >= _OWN_PASS_DRAWS
+    members = [[i] for i in np.flatnonzero(own).tolist()]
+    if not own.all():
+        members.append(np.flatnonzero(~own))
     passes = []
     for idx in members:
-        cols = zip(*(rows[i] for i in idx))
-        blk = _Blocks(_frozen(idx, np.intp), *(_frozen(c, t) for c, t in zip(cols, dtypes)), None)
+        blk = _Blocks(*_freeze([col[idx] for col in table[:-1]]), None)
         k = len(idx)
         first = _schedule(blk, np.arange(k), np.full(k, -1, np.int64), np.zeros(k, np.int64))
-        for field in first:
-            if isinstance(field, np.ndarray):
-                field.setflags(write=False)
-        passes.append(blk._replace(first=first))
-    keys = rng.stream_keys(np.array(streams, np.uint64))
-    keys.setflags(write=False)
-    return _Plan(keys, tuple(passes))
+        passes.append(blk._replace(first=_freeze(first)))
+    return tuple(passes)
 
 
 def _spread(values: np.ndarray, counts: np.ndarray):
@@ -174,10 +172,17 @@ def _schedule(blk: _Blocks, todo: np.ndarray, last: np.ndarray, draw: np.ndarray
     it to exercise the refill). A batch is capped so that its clipped gaps
     sum to at most 2^61, and the round takes the longest run of open blocks
     whose caps add up to at most 2^62, so no running sum leaves int64.
+
+    Every round makes progress, so the refill in ``_hits`` ends. A batch is
+    at least 32 before its cap and a hint at least 1. A block has at most
+    2^53 positions, so its cap ``2^61 // (dist + 1)`` is at least 255, and
+    one capped block always fits the round's 2^62: each round draws at
+    least one number for at least one open block. Every gap is at least 1,
+    so each block that draws either closes or moves ``last`` forward, and
+    ``last`` stays below ``space``.
     """
     dist = blk.space[todo] - last
-    expect = dist * blk.p_blk[todo]
-    batch = (expect + 6.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 32
+    batch = _first_batch(dist, blk.p_blk[todo])
     if batch_hint is not None:
         batch = np.where(batch_hint[todo] > 0, batch_hint[todo], batch)
     clip = dist + 1
@@ -202,7 +207,10 @@ def _round(sched: _Schedule, roots: np.ndarray):
     gaps = rng.stream_uniforms(roots[sched.run], sched.draw, batch)
     np.negative(gaps, out=gaps)
     np.log1p(gaps, out=gaps)
-    gaps /= sched.divisor
+    # below p_blk ~ 2e-307 the quotient can pass the float64 maximum; the +inf
+    # gap is clipped to dist + 1 below like any other gap that leaves the block
+    with np.errstate(over="ignore"):
+        gaps /= sched.divisor
     np.floor(gaps, out=gaps)
     gaps += 1.0
     # a gap of dist or more leaves the block, so clipping it keeps every running
@@ -315,12 +323,12 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
 
     The arrays hold each pass's edges in turn; ``SuperGraph`` owns their order.
     """
-    plan = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
-                 float(p), bool(constructive))
-    if not plan.passes:
+    passes = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
+                   float(p), bool(constructive))
+    if not passes:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    roots = rng.stream_roots(int(seed), plan.keys)
-    done = [_pass_edges(blk, roots[blk.index], constructive) for blk in plan.passes]
+    seed = int(seed)
+    done = [_pass_edges(blk, rng.stream_roots(seed, blk.keys), constructive) for blk in passes]
     if len(done) == 1:
         return done[0]
     return np.concatenate([u for u, _ in done]), np.concatenate([v for _, v in done])

@@ -70,6 +70,14 @@ def resolve_p(regime: str, c: float, config: SizeConfiguration) -> ModelParams:
     return ModelParams(regime=regime, c=float(c), p=p)
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """values as a contiguous int64 array; a float or bool one would be silently cast."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
+        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    return np.ascontiguousarray(values, np.int64)
+
+
 @dataclass(frozen=True)
 class SuperGraph:
     """A sampled realization: per-node sizes and a canonical edge array.
@@ -77,7 +85,8 @@ class SuperGraph:
     ``edges`` has shape (m, 2) with u < v per row, rows sorted
     lexicographically, no duplicates, no self loops. Rows may come in any
     order; one stable sort by the int64 key u*N + v ranks them, so N may not
-    exceed 3_037_000_499 (N*N < 2^63). Arrays are marked read-only;
+    exceed 3_037_000_499 (N*N < 2^63). Both arrays take any integer dtype;
+    a non-empty float or bool one raises. Arrays are marked read-only;
     instances are safe to share between threads.
     """
 
@@ -85,8 +94,8 @@ class SuperGraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        sizes = np.ascontiguousarray(self.sizes, np.int64)
-        edges = np.ascontiguousarray(self.edges, np.int64).reshape(-1, 2)
+        sizes = _int64_array(self.sizes, "sizes")
+        edges = _int64_array(self.edges, "edges").reshape(-1, 2)
         n = sizes.shape[0]
         if n < 1 or (sizes < 1).any():
             raise ValueError("sizes must be a nonempty vector of integers >= 1")

@@ -21,6 +21,13 @@ class TestGenerate:
         assert code == 0
         assert out == "# N=10 sizes=1x10\n"
 
+    def test_subnormal_p_is_quiet(self, capsys):
+        # the kernel's gap divide overflows to +inf at this p, which is harmless
+        code, out, err = run_cli(capsys, "generate", "--inline", "1x1000",
+                                 "--regime", "raw", "--c", "1e-310", "--seed", "1")
+        assert (code, err) == (0, "")
+        assert out == "# N=1000 sizes=1x1000\n"
+
     def test_constructive_sampler_flag(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "--inline", "1x4", "--regime", "raw",
                                "--c", "1", "--seed", "2", "--sampler", "constructive")

@@ -21,9 +21,8 @@ def _plan(cfg, p, constructive=False):
 
 def _pass_and_roots(cfg, p, seed, constructive=False):
     """The graph's first pass and its blocks' stream roots."""
-    plan = _plan(cfg, p, constructive)
-    blk = plan.passes[0]
-    return blk, rng.stream_roots(seed, plan.keys)[blk.index]
+    blk = _plan(cfg, p, constructive)[0]
+    return blk, rng.stream_roots(seed, blk.keys)
 
 
 def _canonical_keys(eu, ev, n):
@@ -129,16 +128,17 @@ class TestBlockPositions:
         assert runs[1:] == [[j]] * int(want_found[j])
 
     def test_batch_capped_below_2_61_over_the_gap_clip(self):
-        # one block of 2^52 positions expecting ~1000 hits: its batch is cut
-        # to 2^61 // (2^52 + 2) = 511 draws, so it takes several rounds
-        cfg = SizeConfiguration({2 ** 26: 2})
-        p = 1000.0 / 2 ** 52
-        blk, roots = _pass_and_roots(cfg, p, 3, constructive=True)
-        assert int(blk.space[0]) == 2 ** 52
-        assert blk.first.batch.tolist() == [511]
-        got, found = kernels._hits(blk, roots)
-        assert found[0] > 511  # more hits than one batch holds
-        assert np.array_equal(got, _block_positions(2.0 ** 52, p, int(roots[0])))
+        # a block expecting ~1000 hits: its batch is cut to 2^61 // (space + 2)
+        # draws, so it takes several rounds. The second block has the most
+        # positions a block may have, where the cap is lowest.
+        for counts, p, space, cap in [({2 ** 26: 2}, 1000.0 / 2 ** 52, 2 ** 52, 511),
+                                      ({2 ** 26: 1, 2 ** 27: 1}, 1e-13, 2 ** 53, 255)]:
+            blk, roots = _pass_and_roots(SizeConfiguration(counts), p, 3, constructive=True)
+            assert int(blk.space[0]) == space
+            assert blk.first.batch.tolist() == [cap]
+            got, found = kernels._hits(blk, roots)
+            assert found[0] > cap  # more hits than one batch holds
+            assert np.array_equal(got, _block_positions(float(space), p, int(roots[0])))
 
 
 class TestAgainstPerBlockReference:
@@ -173,8 +173,9 @@ class TestAgainstPerBlockReference:
         # block 3 (the size-2 class with itself) gets a pass of its own, so the
         # passes join in an order that is not block order
         cfg = SizeConfiguration({1: 2, 2: 2000, 3: 2})
-        plan = _plan(cfg, 0.01, constructive)
-        assert [blk.index.tolist() for blk in plan.passes] == [[3], [0, 1, 2, 4, 5]]
+        keys = [blk.keys.tolist() for blk in _plan(cfg, 0.01, constructive)]
+        streams = [[2 * b + constructive for b in run] for run in [[3], [0, 1, 2, 4, 5]]]
+        assert keys == [rng.stream_keys(np.array(s, np.uint64)).tolist() for s in streams]
         _assert_matches_reference(cfg, 0.01, 6, constructive)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -182,7 +183,7 @@ class TestAgainstPerBlockReference:
         # the first gap is almost surely past the block; float64 rounds a clip
         # of 2^53 + 1 down to 2^53, which would land it on the last position
         cfg = SizeConfiguration({2 ** 26: 1, 2 ** 27: 1})
-        assert int(_plan(cfg, 1e-18, True).passes[0].space[0]) == 2 ** 53
+        assert int(_plan(cfg, 1e-18, True)[0].space[0]) == 2 ** 53
         _assert_matches_reference(cfg, 1e-18, seed, constructive=True)
 
     def test_rounds_split_to_keep_sums_in_int64(self):
@@ -190,9 +191,25 @@ class TestAgainstPerBlockReference:
         # so the first round takes only a prefix of the blocks
         cfg = SizeConfiguration({2 ** 24 + i: 4 for i in range(10)})
         blk, _ = _pass_and_roots(cfg, 1e-15, 0, constructive=True)
-        assert len(_plan(cfg, 1e-15, True).passes) == 1
+        assert len(_plan(cfg, 1e-15, True)) == 1
         assert 0 < blk.first.run.shape[0] < blk.space.shape[0] == 55
         _assert_matches_reference(cfg, 1e-15, 11, constructive=True)
+
+    @pytest.mark.parametrize("constructive", [False, True])
+    @pytest.mark.parametrize("counts", [{1: 1000}, {1: 3, 2: 4, 5: 2}])
+    @pytest.mark.parametrize("p", [1e-310, 5e-324])
+    def test_subnormal_p_matches_reference(self, p, counts, constructive):
+        # log1p(-u) / log_q passes the float64 maximum for most draws; such a gap
+        # leaves the block, so the kernel must neither warn nor lose an edge. The
+        # reference does the same divide, and warns.
+        cfg = SizeConfiguration(counts)
+        arrays = cfg.size_classes()
+        got = kernels.sample_edges(*arrays, p, 5, constructive=constructive)
+        with np.errstate(over="ignore"):
+            want = reference_sample_edges(*arrays, p, 5, constructive=constructive)
+        assert got[0].shape == want[0].shape
+        n = cfg.num_super
+        assert np.array_equal(_canonical_keys(*got, n), _canonical_keys(*want, n))
 
 
 class _NoDraws:

@@ -208,6 +208,32 @@ class TestSuperGraphType:
         with pytest.raises(ValueError, match=message):
             SuperGraph(sizes=np.ones(4, np.int64), edges=np.array(edges))
 
+    @pytest.mark.parametrize("sizes,edges", [
+        (np.array([1.9, 2.5, 1.0]), np.array([[0, 1]])),
+        (np.ones(3, np.int64), np.array([[0.7, 1.2]])),
+        (np.array([True, True, True]), np.array([[0, 1]])),
+        (np.ones(3, np.int64), np.array([[False, True]])),
+    ], ids=["float_sizes", "float_edges", "bool_sizes", "bool_edges"])
+    def test_rejects_non_integer_dtypes(self, sizes, edges):
+        # a cast to int64 would truncate floats and read bools as 0/1
+        with pytest.raises(ValueError, match="must hold integers"):
+            SuperGraph(sizes=sizes, edges=edges)
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: a.tolist(), lambda a: a.astype(np.int32), lambda a: a.astype(np.uint16),
+    ], ids=["python_ints", "int32", "uint16"])
+    def test_any_integer_dtype_builds_the_int64_graph(self, convert):
+        sizes, edges = np.array([3, 1, 2, 1], np.int64), np.array([[2, 3], [0, 1], [0, 3]], np.int64)
+        want = SuperGraph(sizes=sizes, edges=edges)
+        got = SuperGraph(sizes=convert(sizes), edges=convert(edges))
+        assert got.sizes.dtype == got.edges.dtype == np.int64
+        assert np.array_equal(got.sizes, want.sizes) and np.array_equal(got.edges, want.edges)
+
+    def test_empty_edges_of_any_dtype(self):
+        # an empty list is float64 to numpy; no value of it is cast
+        for edges in ([], np.empty((0, 2))):
+            assert SuperGraph(sizes=np.ones(2, np.int64), edges=edges).edge_count == 0
+
     def test_canonicalizes_edge_order(self):
         g = SuperGraph(sizes=np.ones(4, np.int64), edges=np.array([[2, 3], [0, 1]]))
         assert np.array_equal(g.edges, np.array([[0, 1], [2, 3]]))
