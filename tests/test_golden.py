@@ -5,7 +5,8 @@ configurations, p and seeds and over a 22-class power-law configuration
 (253 blocks, some of them empty), the edge list printed by ``supergraph
 generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
 digits), and the JSON reports of the three experiments with the
-``wall_time`` line removed. A refactor of the kernels, the component
+``wall_time`` line removed (one giant report on N = 20,000, where labelling
+takes several hook rounds). A refactor of the kernels, the component
 labelling or the theory must leave all of them unchanged.
 """
 
@@ -94,15 +95,19 @@ WIDE_GENERATE_HASHES = {
     "constructive": "b67e270b568e6225441efb7039442049fd67fcdb64c97f8ed0740499ed3f1e67",
 }
 
+# name -> (experiment, counts, regime, c, trials, seed); "giant_at_scale" takes
+# 4 hook rounds per trial, the last with 1,700-2,600 cross edges
 REPORT_PLANS = {
-    "connectivity": ({1: 200, 2: 50}, "connectivity", 0.5, 40, 11),
-    "giant": ({1: 300, 3: 40}, "sparse", 1.5, 30, 12),
-    "degree": ({1: 200, 2: 60, 4: 10}, "sparse", 1.2, 20, 13),
+    "connectivity": ("connectivity", {1: 200, 2: 50}, "connectivity", 0.5, 40, 11),
+    "giant": ("giant", {1: 300, 3: 40}, "sparse", 1.5, 30, 12),
+    "giant_at_scale": ("giant", {1: 20000}, "sparse", 2.0, 3, 5),
+    "degree": ("degree", {1: 200, 2: 60, 4: 10}, "sparse", 1.2, 20, 13),
 }
 REPORT_HASHES = {
     "connectivity": "e6391e8f76a60531ac05853c46a94bebb01954d76ee43086d637e98a3a7053f5",
     "degree": "0f0454e81997625c4854a173ae79c9ce2725c7276e7ff0c10fe225587f58ba44",
     "giant": "afe71812aa5e1e0c277f5b1e36fb1f4cdbb5279c91c6a11e050f225ca962db9f",
+    "giant_at_scale": "c549391e284db5414ef3198edcc4d117bbea50d64c4be70c43ebaed8ff065913",
 }
 
 
@@ -151,11 +156,11 @@ def test_generate_bytes_wide_endpoints(capsys, sampler):
     assert _sha(capsys.readouterr().out.encode()) == WIDE_GENERATE_HASHES[sampler]
 
 
-@pytest.mark.parametrize("experiment", sorted(REPORT_PLANS))
-def test_report_without_wall_time(experiment):
-    counts, regime, c, trials, seed = REPORT_PLANS[experiment]
+@pytest.mark.parametrize("name", sorted(REPORT_PLANS))
+def test_report_without_wall_time(name):
+    experiment, counts, regime, c, trials, seed = REPORT_PLANS[name]
     plan = ExperimentPlan(config=SizeConfiguration(counts), regime=regime, c=c,
                           trials=trials, seed=seed, experiment=experiment)
     rendered = render_report(run_experiment(plan), "json")
     kept = "\n".join(line for line in rendered.splitlines() if '"wall_time"' not in line)
-    assert _sha(kept.encode()) == REPORT_HASHES[experiment]
+    assert _sha(kept.encode()) == REPORT_HASHES[name]

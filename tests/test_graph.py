@@ -138,6 +138,15 @@ class TestAgainstBfsOracle:
                 assert summary.sizes_desc.tolist() == want
                 assert summary.isolated_count == isolated_count(graph)
 
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    def test_graph_at_scale_matches_bfs(self, c):
+        # above c* = 1 a giant forms; labelling takes 5 (c = 1.5) and 4 (c = 2) hook rounds
+        cfg = SizeConfiguration({1: 20000})
+        graph = sample_direct(cfg, resolve_p("sparse", c, cfg), rng.stream_root(5, 0))
+        summary = connected_components(graph)
+        assert summary.sizes_desc.tolist() == bfs_component_sizes(20000, graph.edges.tolist())
+        assert summary.isolated_count == isolated_count(graph)
+
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_adversarial_shapes_match_bfs(self, shape):
         n, make_edges = SHAPES[shape]
