@@ -39,26 +39,28 @@ def degrees(graph: SuperGraph) -> np.ndarray:
 def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Sizes of the components of the graph on 0..n-1 with edges (eu, ev).
 
-    Each round hooks the larger root of every edge between two trees under
-    the smallest root it meets, then pointer-jumps until every vertex points
-    at its root. parent[x] <= x always holds, so no cycle can form. A root
-    that still has such an edge is merged within two rounds, so the roots
-    left with one at least halve every two rounds: O(log n) rounds.
+    Requires eu < ev elementwise, as every ``SuperGraph`` edge has. Each
+    round hooks the larger root of every edge between two trees under the
+    smallest root it meets, pointer-jumps until every vertex points at its
+    root, then maps the edges to their roots and keeps those whose roots
+    differ; it stops when none are left. Every parent starts as itself, so
+    the first round hooks the edges as given. parent[x] <= x always holds,
+    so no cycle can form. A root that still has such an edge is merged
+    within two rounds, so the roots left with one at least halve every two
+    rounds: O(log n) rounds.
     """
     parent = np.arange(n, dtype=np.int64)
-    while True:
-        pu, pv = parent[eu], parent[ev]
-        cross = pu != pv
-        if not cross.any():
-            break
-        pu, pv = pu[cross], pv[cross]
-        eu, ev = np.minimum(pu, pv), np.maximum(pu, pv)
+    while eu.size:
         np.minimum.at(parent, ev, eu)
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
+        pu, pv = parent[eu], parent[ev]
+        cross = np.flatnonzero(pu != pv)
+        pu, pv = pu[cross], pv[cross]
+        eu, ev = np.minimum(pu, pv), np.maximum(pu, pv)
     sizes = np.bincount(parent, minlength=n)
     return sizes[sizes > 0]
 

@@ -46,8 +46,10 @@ class ExperimentPlan:
     experiment: str
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        trials = self.trials
+        if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        object.__setattr__(self, "trials", int(trials))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         object.__setattr__(self, "seed", _check_seed(self.seed))

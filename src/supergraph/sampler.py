@@ -32,6 +32,7 @@ from .kernels import edge_probability  # noqa: F401  (public as supergraph.edge_
 REGIMES = ("raw", "connectivity", "sparse")
 
 _SEED_LIMIT = 1 << 64
+_INT64_MAX = (1 << 63) - 1
 _MAX_SUPER = 3_037_000_499  # isqrt(2**63 - 1)
 
 
@@ -71,10 +72,15 @@ def resolve_p(regime: str, c: float, config: SizeConfiguration) -> ModelParams:
 
 
 def _int64_array(values, name: str) -> np.ndarray:
-    """values as a contiguous int64 array; a float or bool one would be silently cast."""
+    """values as a contiguous int64 array; a float or bool one would be silently
+    cast, and an unsigned value past the int64 maximum would wrap negative."""
     values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
-        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    if values.size:
+        if values.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
+            raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+        if values.dtype.kind == "u" and values.max() > _INT64_MAX:
+            raise ValueError(f"{name} must lie in the int64 range, at most 2^63 - 1, "
+                             f"got {values.max()}")
     return np.ascontiguousarray(values, np.int64)
 
 

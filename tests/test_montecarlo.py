@@ -218,10 +218,21 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             plan_for({1: 5}, "raw", 0.5, 5, 1, "percolation")
 
-    @pytest.mark.parametrize("trials", [2.0, True])
+    @pytest.mark.parametrize("trials", [2.0, True, np.bool_(True)])
     def test_trials_not_an_integer(self, trials):
         with pytest.raises(ValueError, match="trials"):
             plan_for({1: 5}, "raw", 0.5, trials, 1, "giant")
+
+    def test_numpy_trials_stored_as_int(self):
+        plan = plan_for({1: 30, 2: 10}, "sparse", 1.0, np.int64(40), 3, "giant")
+        assert type(plan.trials) is int
+        report = render_report(run_experiment(plan), "json")
+        want = render_report(run_experiment(plan_for({1: 30, 2: 10}, "sparse", 1.0, 40, 3,
+                                                     "giant")), "json")
+
+        def kept(rendered):
+            return [line for line in rendered.splitlines() if '"wall_time"' not in line]
+        assert kept(report) == kept(want)
 
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_seed_not_an_integer(self, seed):

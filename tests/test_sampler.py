@@ -221,13 +221,23 @@ class TestSuperGraphType:
 
     @pytest.mark.parametrize("convert", [
         lambda a: a.tolist(), lambda a: a.astype(np.int32), lambda a: a.astype(np.uint16),
-    ], ids=["python_ints", "int32", "uint16"])
+        lambda a: a.astype(np.uint64),
+    ], ids=["python_ints", "int32", "uint16", "uint64"])
     def test_any_integer_dtype_builds_the_int64_graph(self, convert):
         sizes, edges = np.array([3, 1, 2, 1], np.int64), np.array([[2, 3], [0, 1], [0, 3]], np.int64)
         want = SuperGraph(sizes=sizes, edges=edges)
         got = SuperGraph(sizes=convert(sizes), edges=convert(edges))
         assert got.sizes.dtype == got.edges.dtype == np.int64
         assert np.array_equal(got.sizes, want.sizes) and np.array_equal(got.edges, want.edges)
+
+    @pytest.mark.parametrize("sizes,edges,name", [
+        (np.ones(3, np.int64), np.array([[0, 2**63 + 1]], np.uint64), "edges"),
+        (np.array([2**63], np.uint64), np.empty((0, 2), np.int64), "sizes"),
+    ], ids=["edges", "sizes"])
+    def test_rejects_unsigned_past_int64(self, sizes, edges, name):
+        # a wrapping cast would turn these negative and fail a later check instead
+        with pytest.raises(ValueError, match=rf"^{name} must lie in the int64 range"):
+            SuperGraph(sizes=sizes, edges=edges)
 
     def test_empty_edges_of_any_dtype(self):
         # an empty list is float64 to numpy; no value of it is cast
@@ -276,6 +286,8 @@ class TestSuperGraphType:
         g = SuperGraph(sizes=sizes, edges=np.array(edges, np.int64))
         want = np.array(sorted(set(map(tuple, edges))), np.int64).reshape(-1, 2)
         assert np.array_equal(g.edges, want)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
+        assert g.edges.flags.c_contiguous and not g.edges.flags.writeable
 
     def test_immutable_arrays(self):
         g = sample_direct(CFG_MIXED, resolve_p("raw", 0.5, CFG_MIXED), 4)
