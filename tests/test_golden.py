@@ -6,7 +6,8 @@ configurations, p and seeds and over a 22-class power-law configuration
 generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
 digits), and the JSON reports of the three experiments with the
 ``wall_time`` line removed (one giant report on N = 20,000, where labelling
-takes several hook rounds). A refactor of the kernels, the component
+takes several hook rounds, and one degree report on a 34-class power-law
+configuration). A refactor of the kernels, the component
 labelling or the theory must leave all of them unchanged.
 """
 
@@ -96,16 +97,20 @@ WIDE_GENERATE_HASHES = {
 }
 
 # name -> (experiment, counts, regime, c, trials, seed); "giant_at_scale" takes
-# 4 hook rounds per trial, the last with 1,700-2,600 cross edges
+# 4 hook rounds per trial, the last with 1,700-2,600 cross edges, and
+# "degree_power_law" sums its degree law over 34 size classes
 REPORT_PLANS = {
     "connectivity": ("connectivity", {1: 200, 2: 50}, "connectivity", 0.5, 40, 11),
     "giant": ("giant", {1: 300, 3: 40}, "sparse", 1.5, 30, 12),
     "giant_at_scale": ("giant", {1: 20000}, "sparse", 2.0, 3, 5),
     "degree": ("degree", {1: 200, 2: 60, 4: 10}, "sparse", 1.2, 20, 13),
+    "degree_power_law": ("degree", power_law_configuration(20000, 2.0, 60).counts,
+                         "sparse", 1.0, 4, 14),
 }
 REPORT_HASHES = {
     "connectivity": "e6391e8f76a60531ac05853c46a94bebb01954d76ee43086d637e98a3a7053f5",
     "degree": "0f0454e81997625c4854a173ae79c9ce2725c7276e7ff0c10fe225587f58ba44",
+    "degree_power_law": "388f876a5a37a19bfee561f2352218a190fa43b9d16e5f2a27b8a449f8ea7594",
     "giant": "afe71812aa5e1e0c277f5b1e36fb1f4cdbb5279c91c6a11e050f225ca962db9f",
     "giant_at_scale": "c549391e284db5414ef3198edcc4d117bbea50d64c4be70c43ebaed8ff065913",
 }

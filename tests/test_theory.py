@@ -18,6 +18,11 @@ from supergraph.theory import (critical_threshold, degree_pmf_cutoff, degree_pmf
 
 PROFILE_HOMOG = LimitProfile.from_weights({1: 1.0})
 PROFILE_HALF = LimitProfile.from_weights({1: 0.5, 2: 0.5})
+# the grid on which the degree law must equal its term-by-term sum; the last has 34 classes
+MIXTURE_PROFILES = [PROFILE_HOMOG, PROFILE_HALF,
+                    empirical_profile(SizeConfiguration({1: 200, 2: 60, 4: 10})),
+                    empirical_profile(power_law_configuration(20_000, 2.0, 60))]
+MIXTURE_IDS = ["homog", "half", "three_class", "power_law"]
 
 
 class TestIsolatedMoments:
@@ -331,6 +336,27 @@ class TestMixedPoisson:
         assert lumped[-1] == mixed_poisson_tail(PROFILE_HOMOG, 1.0, cutoff)
         assert 0.0 <= lumped[-1] < 1e-9
         assert math.fsum(lumped) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("prof", MIXTURE_PROFILES, ids=MIXTURE_IDS)
+    def test_pmf_is_the_term_by_term_sum(self, prof):
+        # bit for bit: the reference sums one poisson_pmf per class, as the law reads
+        for c in (0.0, 1e-3, 0.5, 1.0, 2.7, 100.0, 1e6):
+            for k in [*range(400), 10 ** 4]:
+                want = math.fsum(m * poisson_pmf(i * c, k) for i, m in prof.mu.items())
+                assert mixed_poisson_pmf(prof, c, k) == want, (c, k)
+            if c <= 100.0:
+                head = degree_pmf_head(prof, c)
+                assert head == [math.fsum(m * poisson_pmf(i * c, k) for i, m in prof.mu.items())
+                                for k in range(len(head))], c
+
+    def test_overflowing_class_rate_raises(self):
+        # c is finite, but the size-2 class's rate 2c overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            mixed_poisson_pmf(PROFILE_HALF, 1e308, 1)
+        with pytest.raises(ValueError, match="finite"):
+            degree_pmf_head(PROFILE_HALF, 1e308)
+        with pytest.raises(ValueError, match="finite"):
+            mixed_poisson_tail(PROFILE_HALF, 1e308, 3)
 
     @pytest.mark.parametrize("tail_below", [math.nan, 0.0, -1.0, 1.0])
     def test_tail_below_outside_unit_interval(self, tail_below):
