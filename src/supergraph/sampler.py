@@ -74,14 +74,27 @@ def resolve_p(regime: str, c: float, config: SizeConfiguration) -> ModelParams:
 def _int64_array(values, name: str) -> np.ndarray:
     """values as a contiguous int64 array; a float or bool one would be silently
     cast, and an unsigned value past the int64 maximum would wrap negative."""
-    values = np.asarray(values)
-    if values.size:
-        if values.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
-            raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-        if values.dtype.kind == "u" and values.max() > _INT64_MAX:
+    array = np.asarray(values)
+    if array.size:
+        if array.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
+            if not isinstance(values, np.ndarray):
+                _check_int64_range(values, name)
+            raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+        if array.dtype.kind == "u" and array.max() > _INT64_MAX:
             raise ValueError(f"{name} must lie in the int64 range, at most 2^63 - 1, "
-                             f"got {values.max()}")
-    return np.ascontiguousarray(values, np.int64)
+                             f"got {array.max()}")
+    return np.ascontiguousarray(array, np.int64)
+
+
+def _check_int64_range(values, name: str) -> None:
+    """Raise the range error for integers that numpy promoted to float64 or
+    object because one of them lies outside int64."""
+    items = np.asarray(values, dtype=object).ravel().tolist()
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in items):
+        outside = [x for x in map(int, items) if not -_INT64_MAX - 1 <= x <= _INT64_MAX]
+        if outside:
+            raise ValueError(f"{name} must lie in the int64 range, -2^63 to 2^63 - 1, "
+                             f"got {outside[0]}")
 
 
 @dataclass(frozen=True)

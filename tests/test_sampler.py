@@ -239,6 +239,25 @@ class TestSuperGraphType:
         with pytest.raises(ValueError, match=rf"^{name} must lie in the int64 range"):
             SuperGraph(sizes=sizes, edges=edges)
 
+    @pytest.mark.parametrize("sizes,edges,name", [
+        (np.ones(3, np.int64), [[0, 2**63 + 1]], "edges"),
+        (np.ones(3, np.int64), [[0, 2**64]], "edges"),
+        (np.ones(3, np.int64), [[-2**63 - 1, 2]], "edges"),
+        ([1, 2**63], [], "sizes"),
+        ([1, 2**70], [], "sizes"),
+        ([-2**64, 1], [], "sizes"),
+    ], ids=["edges_float64", "edges_object", "edges_below", "sizes_float64", "sizes_object",
+            "sizes_below"])
+    def test_rejects_python_ints_past_int64(self, sizes, edges, name):
+        # numpy promotes such a list to float64 or object, which is not the fault
+        with pytest.raises(ValueError, match=rf"^{name} must lie in the int64 range"):
+            SuperGraph(sizes=sizes, edges=edges)
+
+    def test_python_floats_keep_the_dtype_error(self):
+        for edges in ([[0.0, 1.0]], [[0, 2.0**64]], [[0, 1.5]]):
+            with pytest.raises(ValueError, match="must hold integers, got dtype float64"):
+                SuperGraph(sizes=np.ones(3, np.int64), edges=edges)
+
     def test_empty_edges_of_any_dtype(self):
         # an empty list is float64 to numpy; no value of it is cast
         for edges in ([], np.empty((0, 2))):
