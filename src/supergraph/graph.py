@@ -39,7 +39,9 @@ def degrees(graph: SuperGraph) -> np.ndarray:
 def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Sizes of the components of the graph on 0..n-1 with edges (eu, ev).
 
-    Requires eu < ev elementwise, as every ``SuperGraph`` edge has. Each
+    Takes raw edge arrays in any order, such as ``kernels.sample_edges``
+    returns, and reads them only. Requires 0 <= eu < ev < n elementwise; the
+    kernel guarantees it, as ``SuperGraph`` does for its rows. Each
     round hooks the larger root of every edge between two trees under the
     smallest root it meets, pointer-jumps until every vertex points at its
     root, then maps the edges to their roots and keeps those whose roots

@@ -6,6 +6,12 @@ name.
 
 Trials draw from per-trial RNG streams (master seed, trial index) and are
 aggregated in trial order, so reports never depend on the worker count.
+
+A trial reads the sampling kernel's edge arrays directly: component sizes,
+the isolated count, L1, L2 and degree counts do not depend on edge order, so
+no trial builds a ``SuperGraph``. ``sample_direct`` with ``SuperGraph`` and
+``graph.connected_components`` stay the public path, and ``generate`` exports
+through them.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from functools import partial
 
 import numpy as np
 
-from . import rng, theory
+from . import kernels, rng, theory
 from .config import LimitProfile, SizeConfiguration, empirical_profile
-from .graph import connected_components, degrees
-from .sampler import ModelParams, _check_seed, resolve_p, sample_direct
+from .graph import _component_sizes
+from .sampler import ModelParams, _check_num_super, _check_seed, resolve_p
 from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it from here)
 
 # Trials run on a thread pool, one worker per usable CPU and trial, once the mean
@@ -101,17 +107,25 @@ def _run_trials(plan: ExperimentPlan, params: ModelParams, degree_cutoff: int | 
 
     Returns the per-trial record {"connected", "isolated", "L1", "L2"} and,
     given degree_cutoff, the degree counts summed over trials and lumped at
-    the cutoff (otherwise None).
+    the cutoff (otherwise None). Each trial takes the kernel's edge arrays as
+    they come; ``sample_direct`` would draw the same edges for the same seed.
     """
+    n = plan.config.num_super
+    _check_num_super(n)  # before any array of N entries exists
+    classes = plan.config.size_classes()
+
     def one(t: int):
-        graph = sample_direct(plan.config, params, rng.stream_root(plan.seed, t))
-        summary = connected_components(graph)
-        sizes = summary.sizes_desc
+        eu, ev = kernels.sample_edges(*classes, params.p, rng.stream_root(plan.seed, t))
+        sizes = _component_sizes(n, eu, ev)
         hist = None
         if degree_cutoff is not None:
-            hist = _lump_counts(degrees(graph), degree_cutoff)
-        l2 = int(sizes[1]) if sizes.shape[0] > 1 else 0
-        return sizes.shape[0] == 1, summary.isolated_count, int(sizes[0]), l2, hist
+            degree = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+            hist = _lump_counts(degree, degree_cutoff)
+        isolated = int((sizes == 1).sum())
+        if sizes.shape[0] == 1:
+            return True, isolated, int(sizes[0]), 0, hist
+        top = np.partition(sizes, -2)  # the largest two sizes, in order, at the end
+        return False, isolated, int(top[-1]), int(top[-2]), hist
 
     workers = _worker_count(plan)
     if workers == 1:
@@ -237,7 +251,7 @@ def _giant(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
 def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
     """The degree law Z_k/N at p = c/n against the mixed Poisson."""
     c_sparse = params.p * plan.config.num_vertices
-    pmf_lumped = theory.lumped_pmf(partial(theory.mixed_poisson_pmf, profile, c_sparse))
+    pmf_lumped = theory.lumped_pmf(theory._mixed_poisson(profile, c_sparse))
     cutoff = len(pmf_lumped) - 1
     trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 from .config import LimitProfile, SizeConfiguration
 
@@ -206,12 +205,39 @@ def poisson_pmf(lam: float, k: int) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
+def _mixed_poisson(profile: LimitProfile, c: float) -> Callable[[int], float]:
+    """k -> P(Xi = k) for k >= 0: the one evaluator of the limiting degree law.
+
+    Each class's (mu_i, i c, log(i c)) is computed once, and lgamma(k + 1)
+    once per call, so a head of K terms over C classes costs K lgamma calls
+    instead of K*C. Every term is the float ``poisson_pmf(i c, k)`` computes,
+    summed by the same fsum. Raises ValueError, as ``poisson_pmf`` does, when
+    a class rate i c overflows to inf.
+    """
+    _check_c(c)
+    if c == 0.0:  # every rate is 0: each class puts all its mass on k = 0
+        p0 = math.fsum(profile.mu.values())
+        return lambda k: p0 if k == 0 else 0.0
+    classes = []
+    for i, m in profile.mu.items():
+        lam = i * c
+        if lam == math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
+        classes.append((m, lam, math.log(lam)))
+
+    def pmf(k: int) -> float:
+        lg = math.lgamma(k + 1)
+        return math.fsum(m * math.exp(k * log_lam - lam - lg) for m, lam, log_lam in classes)
+
+    return pmf
+
+
 def mixed_poisson_pmf(profile: LimitProfile, c: float, k: int) -> float:
     """Limiting degree law: P(Xi = k) = sum_i mu_i P(Po(i c) = k)."""
-    _check_c(c)
+    pmf = _mixed_poisson(profile, c)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return math.fsum(m * poisson_pmf(i * c, k) for i, m in profile.mu.items())
+    return pmf(k)
 
 
 def tail_mass(head: list[float]) -> float:
@@ -243,12 +269,13 @@ def lumped_pmf(pmf: Callable[[int], float], tail_below: float = TAIL_LUMP) -> li
 
 def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
     """P(Xi >= k) = 1 - sum_{j<k} P(Xi = j)."""
-    return tail_mass([mixed_poisson_pmf(profile, c, j) for j in range(k)])
+    pmf = _mixed_poisson(profile, c)
+    return tail_mass([pmf(j) for j in range(k)])
 
 
 def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
     """[P(Xi = k) for k below degree_pmf_cutoff]: ``lumped_pmf`` without the lump."""
-    return lumped_pmf(partial(mixed_poisson_pmf, profile, c), tail_below)[:-1]
+    return lumped_pmf(_mixed_poisson(profile, c), tail_below)[:-1]
 
 
 def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> int:

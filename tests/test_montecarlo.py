@@ -5,11 +5,13 @@ import types
 import numpy as np
 import pytest
 
-from supergraph import montecarlo, theory
+from supergraph import montecarlo, rng, sampler, theory
 from supergraph.cli import render_report
 from supergraph.config import SizeConfiguration, power_law_configuration
+from supergraph.graph import connected_components, degrees
 from supergraph.montecarlo import (ExperimentPlan, ExperimentReport, run_experiment,
                                    total_variation)
+from supergraph.sampler import SuperGraph, resolve_p, sample_direct
 
 
 class TestTotalVariation:
@@ -162,6 +164,60 @@ class TestReproducibility:
         a = _strip_wall_time(render_report(run_experiment(plan), "json"))
         b = _strip_wall_time(render_report(run_experiment(plan), "json"))
         assert a == b
+
+
+def _reference_trials(plan, params, cutoff):
+    """Per-trial records and summed degree counts through the public graph path."""
+    records, counts = [], np.zeros(cutoff + 1, np.int64)
+    for t in range(plan.trials):
+        graph = sample_direct(plan.config, params, rng.stream_root(plan.seed, t))
+        summary = connected_components(graph)
+        sizes = summary.sizes_desc
+        records.append((sizes.shape[0] == 1, summary.isolated_count, sizes[0],
+                        sizes[1] if sizes.shape[0] > 1 else 0))
+        counts += np.bincount(np.minimum(degrees(graph), cutoff), minlength=cutoff + 1)
+    return records, counts
+
+
+class TestTrialPath:
+    @pytest.mark.parametrize("counts", [
+        {1: 1}, {1: 1000}, {1: 200, 2: 60, 4: 10}, power_law_configuration(1000, 2.0, 20).counts,
+    ], ids=["one_vertex", "1000", "three_class", "power_law"])
+    @pytest.mark.parametrize("p", ["zero", "sparse", "one"])
+    def test_records_match_the_public_graph_path(self, counts, p):
+        config = SizeConfiguration(counts)
+        p = {"zero": 0.0, "sparse": min(1.0, 1.5 / config.num_vertices), "one": 1.0}[p]
+        params = resolve_p("raw", p, config)
+        for seed in (0, 31337, 2**64 - 1):
+            plan = ExperimentPlan(config=config, regime="raw", c=p, trials=3, seed=seed,
+                                  experiment="degree")
+            # no degree reaches N, so the counts are exact histograms with no lumping
+            stats, totals = montecarlo._run_trials(plan, params, config.num_super)
+            records, want_totals = _reference_trials(plan, params, config.num_super)
+            got = list(zip(*(stats[key].tolist() for key in ("connected", "isolated", "L1",
+                                                             "L2"))))
+            assert got == records, seed
+            assert np.array_equal(totals, want_totals), seed
+
+    @pytest.mark.parametrize("experiment", ["connectivity", "giant", "degree"])
+    def test_trials_build_no_super_graph(self, monkeypatch, experiment):
+        def no_graph(self):
+            raise AssertionError("a trial built a SuperGraph")
+
+        monkeypatch.setattr(SuperGraph, "__post_init__", no_graph)
+        report = run_experiment(plan_for({1: 150, 2: 50}, "sparse", 1.5, 6, 8, experiment))
+        assert report.meta["trials"] == 6
+
+    @pytest.mark.parametrize("experiment", ["connectivity", "giant", "degree"])
+    def test_n_checked_before_building_arrays(self, monkeypatch, experiment):
+        # the real limit needs a 3e9-entry sizes vector; a lowered one runs the same check
+        def no_arrays(config):
+            raise AssertionError("size_classes ran before the N check")
+
+        monkeypatch.setattr(sampler, "_MAX_SUPER", 3)
+        monkeypatch.setattr(SizeConfiguration, "size_classes", no_arrays)
+        with pytest.raises(ValueError, match="overflows int64"):
+            run_experiment(plan_for({1: 2, 2: 2}, "sparse", 1.0, 2, 1, experiment))
 
 
 def _patch_cpus(monkeypatch, affinity=None, cpu_count=4):

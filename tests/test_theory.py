@@ -341,9 +341,10 @@ class TestMixedPoisson:
     def test_pmf_is_the_term_by_term_sum(self, prof):
         # bit for bit: the reference sums one poisson_pmf per class, as the law reads
         for c in (0.0, 1e-3, 0.5, 1.0, 2.7, 100.0, 1e6):
+            pmf = theory._mixed_poisson(prof, c)
             for k in [*range(400), 10 ** 4]:
                 want = math.fsum(m * poisson_pmf(i * c, k) for i, m in prof.mu.items())
-                assert mixed_poisson_pmf(prof, c, k) == want, (c, k)
+                assert pmf(k) == mixed_poisson_pmf(prof, c, k) == want, (c, k)
             if c <= 100.0:
                 head = degree_pmf_head(prof, c)
                 assert head == [math.fsum(m * poisson_pmf(i * c, k) for i, m in prof.mu.items())
@@ -353,6 +354,8 @@ class TestMixedPoisson:
         # c is finite, but the size-2 class's rate 2c overflows to inf
         with pytest.raises(ValueError, match="finite"):
             mixed_poisson_pmf(PROFILE_HALF, 1e308, 1)
+        with pytest.raises(ValueError, match="finite"):
+            theory._mixed_poisson(PROFILE_HALF, 1e308)
         with pytest.raises(ValueError, match="finite"):
             degree_pmf_head(PROFILE_HALF, 1e308)
         with pytest.raises(ValueError, match="finite"):
