@@ -33,11 +33,12 @@ from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it fr
 
 # Trials run on a thread pool, one worker per usable CPU and trial, once the mean
 # size class (the side of a typical kernel block) has this many super-vertices;
-# shorter numpy calls do not pay for a second thread. 2-worker speed-up on 2 vCPUs
-# (2-3 sweeps) by mean class size: 1000: 0.67-0.86, 1724 (58 classes, N = 100k):
-# 0.80-0.84 with a kernel loop per block, 0.87-0.95 with all blocks in one pass,
-# 10^4: 0.86-0.96, 2^14: 0.79-1.04, 2^15: 0.88-1.19, 2^16: 1.12-1.74.
-_POOL_MIN_CLASS_SIZE = 1 << 15
+# shorter numpy calls do not pay for a second thread. 2-worker speed-up of a giant
+# run at c = 2 on 2 vCPUs, trials reading the kernel's arrays (median of 7-9 runs
+# per sweep, 2-3 sweeps) by mean class size: 1000: 0.45-0.46, 10^4: 0.78-1.01,
+# 12000: 0.93, 2^14: 1.12-1.17, 2^15: 1.30-1.47, 2^16: 1.38-1.55. The 58-class
+# N = 100k graph (mean 1724) read 1.30-1.57, but its classes are far from equal.
+_POOL_MIN_CLASS_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)

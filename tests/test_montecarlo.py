@@ -236,14 +236,15 @@ class TestWorkerCount:
         # N = 100k in 58 classes: a mean class of 1724 despite the large N
         (power_law_configuration(100_000, 2.0, 300).counts, 4, 1),
         ({1: 10_000, 2: 10_000}, 20, 1),
-        ({1: 1 << 14}, 40, 1),
+        ({1: 12_000}, 40, 1),
+        ({1: 1 << 14}, 40, 4),
         ({1: 1 << 15}, 20, 4),
         ({1: 50_000, 2: 50_000}, 8, 4),
         ({1: 1 << 16}, 12, 4),
         ({1: 1 << 17}, 6, 4),
         ({1: 500_000}, 3, 3),
-    ], ids=["1000", "3000", "1724", "10000", "16384", "32768", "50000", "65536", "131072",
-            "500000"])
+    ], ids=["1000", "3000", "1724", "10000", "12000", "16384", "32768", "50000", "65536",
+            "131072", "500000"])
     def test_chosen_from_mean_class_size(self, monkeypatch, counts, trials, want):
         _patch_cpus(monkeypatch, affinity=4)
         plan = plan_for(counts, "sparse", 2.0, trials, 1, "giant")
