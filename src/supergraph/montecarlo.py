@@ -9,9 +9,9 @@ aggregated in trial order, so reports never depend on the worker count.
 
 A trial reads the sampling kernel's edge arrays directly: component sizes,
 the isolated count, L1, L2 and degree counts do not depend on edge order, so
-no trial builds a ``SuperGraph``. ``sample_direct`` with ``SuperGraph`` and
-``graph.connected_components`` stay the public path, and ``generate`` exports
-through them.
+no trial builds a ``SuperGraph``. ``sample_direct`` and
+``graph.connected_components`` stay the public path, and ``SuperGraph`` is
+the export path of ``generate``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it fr
 # shorter numpy calls do not pay for a second thread. 2-worker speed-up of a giant
 # run at c = 2 on 2 vCPUs, trials reading the kernel's arrays (median of 7-9 runs
 # per sweep, 2-3 sweeps) by mean class size: 1000: 0.45-0.46, 10^4: 0.78-1.01,
-# 12000: 0.93, 2^14: 1.12-1.17, 2^15: 1.30-1.47, 2^16: 1.38-1.55. The 58-class
-# N = 100k graph (mean 1724) read 1.30-1.57, but its classes are far from equal.
+# 12000: 0.93, 2^14: 1.12-1.17, 2^15: 1.30-1.47, 2^16: 1.38-1.55. On the 58-class
+# N = 100k graph (mean 1724) a 16-trial giant run read 1.30-1.57, a 4-trial degree
+# run 0.93: its classes are far from equal, so the mean is a rough guide there.
 _POOL_MIN_CLASS_SIZE = 1 << 14
 
 
