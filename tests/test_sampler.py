@@ -370,3 +370,22 @@ class TestExport:
         header, body = buf.getvalue().split("\n", 1)
         assert header == "# N=400 sizes=1x300,2x100"
         assert body == format_edge_lines(graph.edges.tolist())
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_chunks_of_different_widths_stitch(self, monkeypatch, chunk_rows):
+        # Chunk j has u = j; its endpoints all lie below 10^4 (4 digits at
+        # most) for even j and reach past it (5 digits) for odd j, so
+        # neighbouring chunks format with different field widths. The last
+        # row makes a partial chunk when chunk_rows = 3.
+        n = 20_000
+        rows = []
+        for j in range(8):
+            first = 9999 - chunk_rows + 1 if j % 2 == 0 else 10_000
+            rows += [(j, v) for v in range(first, first + chunk_rows)]
+        rows.append((n - 2, n - 1))
+        graph = SuperGraph(sizes=np.ones(n, np.int64), edges=np.array(rows))
+        assert graph.edges.tolist() == [list(r) for r in rows]
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+        buf = io.StringIO()
+        write_edge_list(graph, buf)
+        assert buf.getvalue() == f"# N={n} sizes=1x{n}\n" + format_edge_lines(rows)
