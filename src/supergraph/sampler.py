@@ -13,8 +13,9 @@ Two independently implemented mechanisms that must agree in distribution:
 Both are deterministic given (config, params, seed) and run in expected
 time O(N + edges) via per-block geometric skipping.
 
-``write_edge_list`` exports a graph as text. It formats the edges in numpy
-digit buffers, a chunk of rows at a time, with no per-edge Python loop.
+``write_edge_list`` exports a graph as text, a chunk of rows at a time, with
+no per-edge Python loop: numpy lays every endpoint out as NUL-padded 4-digit
+groups plus a separator, and one ``bytes.translate`` deletes the padding.
 """
 
 from __future__ import annotations
@@ -181,38 +182,61 @@ def sample_constructive(config: SizeConfiguration, params: ModelParams, seed: in
 
 
 _CHUNK_ROWS = 1 << 16
-# Endpoints lie below _MAX_SUPER < 2^32, so uint32 holds them and a digit
-# count is 1 + the number of powers 10^1 .. 10^9 at or below the endpoint.
-_POW10 = 10 ** np.arange(1, 10, dtype=np.uint32)
+
+
+def _export_words() -> np.ndarray:
+    """The NUL-padded 4-byte words that the export is assembled from.
+
+    Entry r + 10^4 * s, for r < 10^4, is the 4-digit group r: with s = 0 as
+    its zero-padded digits, for a group below an endpoint's leading one;
+    with s = 1 as the leading group, its leading zeros NUL (0 keeps its
+    "0"); with s = 2 as four NULs, for a group above the leading one. The
+    two entries after those are the separators " " and "\n". The words are
+    built from bytes, so they hold the same bytes on any endianness.
+    """
+    r = np.arange(10_000)[:, None]
+    digits = (r // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    leading = np.where(r < np.array([1000, 100, 10, 0]), 0, digits)
+    groups = np.stack([digits, leading, np.zeros_like(digits)]).view(np.uint32).ravel()
+    words = np.concatenate([groups, np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)])
+    words.setflags(write=False)
+    return words
+
+
+_WORDS = _export_words()
+_SPACE, _NEWLINE = 30_000, 30_001  # indices of the separators in _WORDS
 
 
 def _format_rows(rows: np.ndarray) -> str:
     """The "u v" lines of an (m, 2) array, m >= 1, of endpoints in [0, 2^32).
 
-    Each endpoint takes its digits plus one separator byte; one cumsum of
-    those widths gives every field's end. Digits are written right to left,
-    one divmod by 10 per digit position, over the endpoints that still have
-    a digit there.
+    Each endpoint becomes a record of words from _WORDS: one per 4-digit
+    group that the largest endpoint needs, highest first, then " " after u
+    or "\n" after v. One translate deletes the NUL padding.
     """
-    x = rows.astype(np.uint32).ravel()
-    ends = np.cumsum(np.searchsorted(_POW10, x, side="right") + 2)
-    buf = np.empty(int(ends[-1]), np.uint8)
-    buf[ends[0::2] - 1] = ord(" ")
-    buf[ends[1::2] - 1] = ord("\n")
-    pos = ends - 2
-    while x.size:
-        x, digit = np.divmod(x, 10)
-        buf[pos] = digit.astype(np.uint8) + ord("0")
-        more = x > 0
-        x, pos = x[more], pos[more] - 1
-    return buf.tobytes().decode("ascii")
+    x = rows.astype(np.uint32).ravel()  # exact: endpoints lie below _MAX_SUPER < 2^32
+    top = int(x.max())
+    width = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)
+    index = np.empty((x.size, width + 1), np.uint32)
+    index[0::2, width] = _SPACE
+    index[1::2, width] = _NEWLINE
+    high = x
+    for col in range(width - 1, -1, -1):  # lowest group first
+        rest = high // np.uint32(10_000)
+        select = (rest == 0).view(np.uint8)  # the leading group or one above it
+        if col < width - 1:
+            select = select + (high == 0).view(np.uint8)  # above the leading group
+        index[:, col] = high - rest * np.uint32(10_000) + np.uint32(10_000) * select
+        high = rest
+    return _WORDS.take(index).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_edge_list(graph: SuperGraph, out: TextIO) -> None:
     """Write the export format: a header line, then one "u v" line per edge.
 
-    The edge lines are formatted in numpy, at most _CHUNK_ROWS rows at a
-    time, with no per-edge Python loop.
+    At most _CHUNK_ROWS rows at a time are laid out as NUL-padded digit
+    groups in numpy and joined by one bytes.translate that drops the
+    padding, with no per-edge Python loop.
     """
     sizes, counts = np.unique(graph.sizes, return_counts=True)
     spec = ",".join(f"{int(i)}x{int(k)}" for i, k in zip(sizes, counts))
