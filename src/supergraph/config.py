@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 PROFILE_TOL = 1e-12  # double precision headroom for profile identities
+# Sizes, counts and n below 2^511 keep n^2, and so every product and pair
+# sum of them that the closed forms take, below float64's maximum of ~2^1024.
+_FLOAT_RANGE_BITS = 511
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,28 @@ def parse_inline(text: str) -> SizeConfiguration:
     return SizeConfiguration(counts)
 
 
+def _check_float_range(config: SizeConfiguration) -> None:
+    """Raise ValueError, naming the size, count or n at fault, for a
+    configuration whose closed forms would pass float64's range."""
+    limit = 1 << _FLOAT_RANGE_BITS
+    for size, count in config.counts.items():
+        if size >= limit:
+            raise ValueError(f"size {size} is too large for float64 predictions: "
+                             f"sizes must be below 2^{_FLOAT_RANGE_BITS}")
+        if count >= limit:
+            raise ValueError(f"count {count} for size {size} is too large for float64 "
+                             f"predictions: counts must be below 2^{_FLOAT_RANGE_BITS}")
+    if config.num_vertices >= limit:
+        raise ValueError(f"n={config.num_vertices} is too large for float64 predictions: "
+                         f"n must be below 2^{_FLOAT_RANGE_BITS}")
+
+
 def empirical_profile(config: SizeConfiguration) -> LimitProfile:
-    """Finite-N profile: mu_i = k_i/N, u = n/N, s2 = sum j^2 k_j / n."""
+    """Finite-N profile: mu_i = k_i/N, u = n/N, s2 = sum j^2 k_j / n.
+
+    Raises ValueError for a size, count or n of 2^511 or more.
+    """
+    _check_float_range(config)
     n_super, n_vert = config.num_super, config.num_vertices
     mu = {i: k / n_super for i, k in config.counts.items()}
     s2_num = sum(j * j * k for j, k in config.counts.items())
@@ -187,12 +210,16 @@ def power_law_configuration(n_super: int, alpha: float, max_size: int) -> SizeCo
     positive and non-increasing below the top size; the top size carries the
     tail atom and may exceed its neighbor.
     """
+    for name, value in (("n_super", n_super), ("max_size", max_size)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not isinstance(alpha, (int, float, np.integer, np.floating)) or isinstance(alpha, bool):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not alpha > 1.0:  # NaN included
         raise ValueError(f"alpha must be > 1 for a summable size profile, got {alpha}")
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+    n_super, max_size = int(n_super), int(max_size)
     if max_size > n_super:
-        raise ValueError(f"max_size {max_size} exceeds requested N {n_super}")
+        raise ValueError(f"max_size {max_size} exceeds n_super {n_super}")
     counts: dict[int, int] = {}
     for i in range(1, max_size + 1):
         if i == max_size:

@@ -39,7 +39,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .config import LimitProfile, SizeConfiguration
+from .config import LimitProfile, SizeConfiguration, _check_float_range
 
 TAIL_LUMP = 1e-9  # default truncation: the first k whose tail is below this
 
@@ -65,9 +65,13 @@ class GiantSolution:
 
 
 def expected_isolated(config: SizeConfiguration, p: float) -> float:
-    """Exact finite-N expectation of the isolated super-vertex count X."""
+    """Exact finite-N expectation of the isolated super-vertex count X.
+
+    Raises ValueError for a size, count or n of 2^511 or more.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p!r} outside [0, 1]")
+    _check_float_range(config)
     n = config.num_vertices
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
     total = 0.0
@@ -83,10 +87,12 @@ def variance_isolated(config: SizeConfiguration, p: float) -> float:
     Summed by fsum over nonnegative terms only, with 1 - q^x evaluated as
     -expm1(x log1p(-p)), so no digits cancel at small p and no power of q
     overflows as p -> 1. At p = 1, X is identically 0 (N >= 2) or 1
-    (N = 1), so V = 0.
+    (N = 1), so V = 0. Raises ValueError for a size, count or n of 2^511
+    or more.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p!r} outside [0, 1]")
+    _check_float_range(config)
     if p == 1.0 or config.num_super == 1:
         return 0.0
     n = config.num_vertices

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -191,17 +192,34 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "2^53" in err
 
-    @pytest.mark.parametrize("command", [["generate"], ["connectivity", "--trials", "2"]],
-                             ids=["generate", "connectivity"])
-    @pytest.mark.parametrize("spec,message", [
-        ("1x100000000000000000000", "overflows int64"),
-        ("100000000000000000000x1", "below 2^63"),
-    ], ids=["count", "size"])
+    @pytest.mark.parametrize("command,spec,message", [
+        *(pytest.param(command, spec, message, id=f"{kind}-{command}")
+          for kind, spec, message in (("count", f"1x{10**20}", "overflows int64"),
+                                      ("size", f"{10**20}x1", "below 2^63"))
+          for command in ("generate", "connectivity")),
+        # past float64's range: n^2 and the product of two counts overflow it
+        *(pytest.param(command, spec, message, id=f"{kind}-{command}")
+          for kind, spec, message in (
+              ("float_count", f"1x{10**200}", f"count {10**200} for size 1"),
+              ("float_size", f"{10**200}x3", f"size {10**200} "))
+          for command in ("predict", "connectivity", "giant", "degree")),
+    ])
     def test_oversized_configuration_is_1(self, capsys, command, spec, message):
-        code, out, err = run_cli(capsys, *command, "--inline", spec, "--regime", "sparse",
-                                 "--c", "1", "--seed", "1")
+        seed = [] if command == "predict" else ["--seed", "1"]
+        trials = ["--trials", "2"] if command in ("connectivity", "giant", "degree") else []
+        code, out, err = run_cli(capsys, command, "--inline", spec, "--regime", "sparse",
+                                 "--c", "1", *seed, *trials)
         assert code == 1 and out == ""
         assert err.startswith("supergraph: error:") and message in err
+        assert err.count("\n") == 1
+
+    def test_predicts_a_configuration_past_int64(self, capsys):
+        code, out, err = run_cli(capsys, "predict", "--inline", f"2x{2**62}", "--regime",
+                                 "sparse", "--c", "1")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["N"] == 2**62 and doc["n"] == 2**63
+        assert all(math.isfinite(doc[k]) for k in ("E_isolated", "Var_isolated", "rho"))
 
     def test_missing_config_file_is_1(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--config", "/nonexistent.json",

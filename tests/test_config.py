@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,21 @@ class TestPowerLaw:
     def test_rejects(self, n, alpha, max_size):
         with pytest.raises(ValueError):
             power_law_configuration(n, alpha, max_size)
+
+    @pytest.mark.parametrize("n,alpha,max_size,name", [
+        (10.5, 2.0, 3, "n_super"), (True, 2.0, 1, "n_super"), (-5, 2.0, 1, "n_super"),
+        ("10", 2.0, 3, "n_super"), (10, 2.0, 2.5, "max_size"), (10, 2.0, True, "max_size"),
+        (10, 2.0, 11, "max_size"), (10, "3", 3, "alpha"), (10, None, 3, "alpha"),
+        (10, True, 3, "alpha"),
+    ])
+    def test_rejection_names_the_argument(self, n, alpha, max_size, name):
+        with pytest.raises(ValueError, match=name):
+            power_law_configuration(n, alpha, max_size)
+
+    def test_takes_numpy_scalars(self):
+        cfg = power_law_configuration(np.int64(1000), np.float64(2.0), np.int32(10))
+        assert cfg.counts == power_law_configuration(1000, 2.0, 10).counts
+        assert all(type(k) is int for k in (*cfg.counts, *cfg.counts.values()))
 
     @pytest.mark.parametrize("alpha", [math.nan, -math.inf, 1.0])
     def test_rejects_alpha_not_above_one(self, alpha):

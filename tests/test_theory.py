@@ -95,6 +95,29 @@ class TestIsolatedMoments:
         assert variance_isolated(SizeConfiguration(counts), p) == pytest.approx(
             want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("counts,message", [
+        ({2**511: 1}, f"size {2**511} "),
+        ({1: 2**511}, f"count {2**511} for size 1"),
+        ({1: 2**510, 2: 2**509}, f"n={2**511} "),
+    ], ids=["size", "count", "n"])
+    @pytest.mark.parametrize("call", [empirical_profile, lambda cfg: expected_isolated(cfg, 0.5),
+                                      lambda cfg: variance_isolated(cfg, 0.5)],
+                             ids=["profile", "expected", "variance"])
+    def test_past_float64_range_names_the_field(self, call, counts, message):
+        with pytest.raises(ValueError, match=message):
+            call(SizeConfiguration(counts))
+
+    @pytest.mark.parametrize("counts", [
+        {2**511 - 1: 1}, {1: 2**511 - 1}, {1: 2**510, 2: 2**509 - 1},
+    ], ids=["size", "count", "n"])
+    def test_just_inside_float64_range_is_finite(self, counts):
+        cfg = SizeConfiguration(counts)
+        profile = empirical_profile(cfg)
+        p = 1.0 / cfg.num_vertices
+        assert math.isfinite(profile.s2)
+        assert math.isfinite(expected_isolated(cfg, p))
+        assert math.isfinite(variance_isolated(cfg, p))
+
 
 class TestConnectivityLimit:
     def test_fixed_c_zero_u_one(self):
