@@ -204,7 +204,7 @@ def _export_words() -> np.ndarray:
 
 
 _WORDS = _export_words()
-_SPACE, _NEWLINE = 30_000, 30_001  # indices of the separators in _WORDS
+_SPACE, _NEWLINE = len(_WORDS) - 2, len(_WORDS) - 1  # indices of the separators
 
 
 def _format_rows(rows: np.ndarray) -> str:
@@ -234,8 +234,8 @@ def _format_rows(rows: np.ndarray) -> str:
 def write_edge_list(graph: SuperGraph, out: TextIO) -> None:
     """Write the export format: a header line, then one "u v" line per edge.
 
-    At most _CHUNK_ROWS rows at a time are laid out as NUL-padded digit
-    groups in numpy and joined by one bytes.translate that drops the
+    The edges go out in chunks of at most _CHUNK_ROWS rows. Numpy lays out
+    each chunk as NUL-padded digit groups and one bytes.translate drops the
     padding, with no per-edge Python loop.
     """
     sizes, counts = np.unique(graph.sizes, return_counts=True)
