@@ -194,9 +194,9 @@ def _export_words() -> np.ndarray:
     two entries after those are the separators " " and "\n". The words are
     built from bytes, so they hold the same bytes on any endianness.
     """
-    r = np.arange(10_000)[:, None]
-    digits = (r // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    leading = np.where(r < np.array([1000, 100, 10, 0]), 0, digits)
+    r = np.arange(10_000, dtype=np.uint16)[:, None]  # uint16: each temporary stays below 100 kB
+    digits = (r // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    leading = np.where(r < np.array([1000, 100, 10, 0], np.uint16), 0, digits)
     groups = np.stack([digits, leading, np.zeros_like(digits)]).view(np.uint32).ravel()
     words = np.concatenate([groups, np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)])
     words.setflags(write=False)
