@@ -5,7 +5,7 @@ via BFS instead of hook-and-jump labelling, pair probabilities via plain powers 
 of expm1/log1p, moments via exhaustive enumeration or 80-digit decimal
 arithmetic, fixed points via bisection of the scalar S equation and damped
 Newton on the two-type system instead of the production Newton iteration on S,
-edge lines via one Python f-string per row instead of numpy digit buffers,
+edge lines via one Python f-string per row instead of NUL-padded digit groups,
 edge arrays via one Python iteration per size-class block instead of the
 kernel's all-blocks pass.
 """
