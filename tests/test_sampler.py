@@ -354,6 +354,12 @@ class TestExport:
         rows = np.array(DIGIT_BOUNDARIES + [0, sampler._MAX_SUPER - 1], np.int64).reshape(-1, 2)
         assert sampler._format_rows(rows) == format_edge_lines(rows.tolist())
 
+    @pytest.mark.parametrize("top", DIGIT_BOUNDARIES + [sampler._MAX_SUPER - 1])
+    def test_each_digit_boundary_as_the_largest_endpoint(self, top):
+        # a chunk's field width is chosen from its largest endpoint
+        rows = [(0, top), (top - 1, top), (7, 12)]
+        assert sampler._format_rows(np.array(rows, np.int64)) == format_edge_lines(rows)
+
     @settings(deadline=None)
     @given(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), min_size=1, max_size=60))
     def test_formatter_matches_per_line_oracle(self, rows):
