@@ -178,6 +178,14 @@ class TestAgainstPerBlockReference:
         assert keys == [rng.stream_keys(np.array(s, np.uint64)).tolist() for s in streams]
         _assert_matches_reference(cfg, 0.01, 6, constructive)
 
+    @pytest.mark.parametrize("counts, p, constructive", [({1: 2000}, 0.6, False),
+                                                         ({2: 800}, 0.9, True)])
+    def test_block_of_more_than_2_20_draws(self, counts, p, constructive):
+        # one block expecting more than 2^20 hits; constructive, ~3.6 in each super pair
+        (size, count), = counts.items()
+        assert count * (count - 1) // 2 * size * size * p > 2 ** 20
+        _assert_matches_reference(SizeConfiguration(counts), p, 2, constructive)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_block_of_exactly_2_53_positions(self, seed):
         # the first gap is almost surely past the block; float64 rounds a clip
