@@ -6,25 +6,27 @@ geometric-gap skipping: expected cost O(successes), never O(pairs). The
 blocks of a graph are sampled together, not one by one:
 
 * A seed-free, columnar table of the graph's live blocks, built once per
-  (classes, p, sampler) and memoised, holds each block's stream key,
-  number of positions, probability and ``log1p(-p)``. Each pass is a slice
-  of it and so holds its own blocks' stream keys. Building it raises for a
-  block past 2^53 positions before anything is drawn.
-* A pass draws one batch for each of its blocks in one run of the
-  SplitMix64 finalizer over block-local counters, takes one cumulative sum
-  of all the integer gaps and cuts every block at its first position past
-  the block with one searchsorted. A block whose batch ended short draws
-  again from where it stopped; the batches carry ~6 sigma slack, so that
-  is rare.
-* A block whose first batch holds ``_OWN_PASS_DRAWS`` draws or more gets a
-  pass of its own, where its values broadcast as scalars: a graph of a few
-  large blocks does no per-draw bookkeeping. All smaller blocks share one
-  pass, which is what makes a graph of many size classes cheap.
+  (classes, p, sampler) and memoised with the rounds that start every
+  block, holds each block's stream key, number of positions, probability
+  and ``log1p(-p)``. Building it raises for a block past 2^53 positions
+  before anything is drawn.
+* A round draws one batch for each block of a run of open blocks in one run
+  of the SplitMix64 finalizer over block-local counters, takes one
+  cumulative sum of all the integer gaps, cuts every block at its first
+  position past the block with one searchsorted and unranks the hits to
+  edges. A batch covers the rest of its block with ~6 sigma slack but holds
+  at most ``_ROUND_DRAWS`` draws; a block whose batch ended short draws on
+  from where it stopped in a later round.
+* A block whose batch holds ``_ALONE_DRAWS`` draws or more has a round of
+  its own, where its values broadcast as scalars: a graph of a few large
+  blocks does no per-draw bookkeeping. Smaller blocks share rounds, which
+  is what makes a graph of many size classes cheap.
 
 Draws come from the counter-based streams of :mod:`supergraph.rng`, and
 linear positions inside a block are unranked to index pairs in a fixed
-lexicographic order, which is what makes seeds reproduce exactly. The edge
-arrays come out pass after pass, in no order the model defines;
+lexicographic order, which is what makes seeds reproduce exactly: where a
+round ends changes only which draws past a block's end go unused. The edge
+arrays come out round after round, in no order the model defines;
 :class:`supergraph.sampler.SuperGraph` puts them in canonical order.
 """
 
@@ -42,12 +44,16 @@ from . import rng
 _DIRECT_DOMAIN = 0
 _CONSTRUCTIVE_DOMAIN = 1
 
-# A block whose first batch holds this many draws gets a pass of its own. On 2
+# A block whose batch holds this many draws has a round of its own. On 2
 # vCPUs, thresholds from 2^12 to 2^16 sample the 58-class power-law graph
 # (1,711 blocks) and the 3-block graph 1x500000,2x250000 equally fast within
-# noise; one pass for every block makes the 3-block graph 1.6x slower.
-_OWN_PASS_DRAWS = 1 << 13
-# a block's clipped gaps in one batch sum to at most this, a pass's to at most twice it (< 2^63)
+# noise; one round for every block makes the 3-block graph 1.6x slower.
+_ALONE_DRAWS = 1 << 13
+# The most draws in one round. A prototype with rounds of 2^16 sampled a
+# 4e6-vertex block faster, but cut a 500k-vertex block into 8 rounds and made
+# 3 giant trials on it under 2 workers about 10% slower.
+_ROUND_DRAWS = 1 << 20
+# a block's clipped gaps in one batch sum to at most this, a round's to at most twice it (< 2^63)
 _SUM_LIMIT = 1 << 61
 
 
@@ -67,7 +73,7 @@ def edge_probability(i: int, j: int, p: float) -> float:
 
 
 class _Schedule(NamedTuple):
-    """One round of draws over a run of a pass's open blocks."""
+    """One round of draws over a run of open blocks."""
 
     run: np.ndarray      # the blocks that draw, ascending
     batch: np.ndarray    # draws of each
@@ -81,7 +87,7 @@ class _Schedule(NamedTuple):
 
 
 class _Blocks(NamedTuple):
-    """Read-only arrays over the blocks of one pass, in block order; memoised plans share them."""
+    """Read-only arrays over a graph's live blocks, in block order; memoised plans share them."""
 
     keys: np.ndarray     # rng.stream_keys of the block's stream
     space: np.ndarray    # positions: super pairs, or underlying vertex pairs (constructive)
@@ -92,7 +98,6 @@ class _Blocks(NamedTuple):
     first_u: np.ndarray  # offset of class a
     first_v: np.ndarray  # offset of class b
     diag: np.ndarray     # the block pairs a class with itself
-    first: _Schedule     # the first round
 
 
 def _freeze(fields):
@@ -110,8 +115,8 @@ def _first_batch(dist, p_blk):
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(classes: tuple, p: float, constructive: bool) -> tuple[_Blocks, ...]:
-    """The passes that sample a graph, cut from its seed-free block table; () if no block is live."""
+def _plan(classes: tuple, p: float, constructive: bool):
+    """A graph's seed-free block table and the rounds that start every block; None if no block is live."""
     rows = []
     block = 0
     for a, (size_a, ca, oa) in enumerate(classes):
@@ -139,23 +144,18 @@ def _plan(classes: tuple, p: float, constructive: bool) -> tuple[_Blocks, ...]:
             log_q = math.log1p(-p_blk) if p_blk < 1.0 else -math.inf
             rows.append((stream, space, p_blk, log_q, ij if constructive else 1, cb, oa, ob, a == b))
     if not rows:
-        return ()
+        return None
 
     dtypes = (np.uint64, np.int64, np.float64, np.float64, np.int64, np.int64, np.int64, np.int64, bool)
     streams, *cols = (np.array(col, t) for col, t in zip(zip(*rows), dtypes))
-    table = _Blocks(rng.stream_keys(streams), *cols, None)
-    # each large block is a pass of its own; the small ones share the last
-    own = _first_batch(table.space + 1, table.p_blk) >= _OWN_PASS_DRAWS
-    members = [[i] for i in np.flatnonzero(own).tolist()]
-    if not own.all():
-        members.append(np.flatnonzero(~own))
-    passes = []
-    for idx in members:
-        blk = _Blocks(*_freeze([col[idx] for col in table[:-1]]), None)
-        k = len(idx)
-        first = _schedule(blk, np.arange(k), np.full(k, -1, np.int64), np.zeros(k, np.int64))
-        passes.append(blk._replace(first=_freeze(first)))
-    return tuple(passes)
+    blk = _Blocks(*_freeze([rng.stream_keys(streams), *cols]))
+    rounds = []
+    todo = np.arange(len(rows))
+    while todo.size:
+        k = todo.shape[0]
+        rounds.append(_freeze(_schedule(blk, todo, np.full(k, -1, np.int64), np.zeros(k, np.int64))))
+        todo = todo[rounds[-1].run.shape[0]:]
+    return blk, tuple(rounds)
 
 
 def _spread(values: np.ndarray, counts: np.ndarray):
@@ -163,33 +163,35 @@ def _spread(values: np.ndarray, counts: np.ndarray):
     return values[0] if values.shape[0] == 1 else np.repeat(values, counts)
 
 
-def _schedule(blk: _Blocks, todo: np.ndarray, last: np.ndarray, draw: np.ndarray,
-              batch_hint: np.ndarray | None = None) -> _Schedule:
+def _schedule(blk: _Blocks, todo: np.ndarray, last: np.ndarray, draw: np.ndarray) -> _Schedule:
     """The next round over the open blocks ``todo``, at ``last`` after ``draw`` draws each.
 
-    A batch covers the rest of its block with ~6 sigma slack, so one round is
-    the rule; ``batch_hint[b] > 0`` fixes block b's batch instead (tests use
-    it to exercise the refill). A batch is capped so that its clipped gaps
-    sum to at most 2^61, and the round takes the longest run of open blocks
-    whose caps add up to at most 2^62, so no running sum leaves int64.
+    A batch covers the rest of its block with ~6 sigma slack, capped at
+    _ROUND_DRAWS and so that its clipped gaps sum to at most 2^61. The round
+    takes the longest run of open blocks whose batches add up to at most
+    _ROUND_DRAWS and whose caps add up to at most 2^62, so no running sum
+    leaves int64; a block of _ALONE_DRAWS draws or more has a round alone.
 
-    Every round makes progress, so the refill in ``_hits`` ends. A batch is
-    at least 32 before its cap and a hint at least 1. A block has at most
-    2^53 positions, so its cap ``2^61 // (dist + 1)`` is at least 255, and
-    one capped block always fits the round's 2^62: each round draws at
-    least one number for at least one open block. Every gap is at least 1,
-    so each block that draws either closes or moves ``last`` forward, and
+    Every round makes progress, so sampling ends. A batch is at least 32
+    before its caps. A block has at most 2^53 positions, so its cap
+    ``2^61 // (dist + 1)`` is at least 255, and _ROUND_DRAWS is at least 1:
+    the first open block always fits a round, so each round draws at least
+    one number for at least one open block. Every gap is at least 1, so
+    each block that draws either closes or moves ``last`` forward, and
     ``last`` stays below ``space``.
     """
     dist = blk.space[todo] - last
     batch = _first_batch(dist, blk.p_blk[todo])
-    if batch_hint is not None:
-        batch = np.where(batch_hint[todo] > 0, batch_hint[todo], batch)
     clip = dist + 1
     np.minimum(batch, _SUM_LIMIT // clip, out=batch)
-    n = np.searchsorted(np.cumsum(batch * clip, dtype=np.float64), 2.0 * _SUM_LIMIT, "right")
-    run, batch = todo[:n], batch[:n]
+    np.minimum(batch, _ROUND_DRAWS, out=batch)
     ends = np.cumsum(batch)
+    n = min(np.searchsorted(ends, _ROUND_DRAWS, "right"),
+            np.searchsorted(np.cumsum(batch * clip, dtype=np.float64), 2.0 * _SUM_LIMIT, "right"))
+    alone = np.flatnonzero(batch[:n] >= _ALONE_DRAWS)
+    if alone.size:
+        n = max(int(alone[0]), 1)
+    run, batch, ends = todo[:n], batch[:n], ends[:n]
     starts = ends - batch
     return _Schedule(run, batch, starts, ends, last[:n], dist[:n], draw[:n],
                      _spread(clip[:n].astype(np.float64), batch), _spread(blk.log_q[run], batch))
@@ -233,37 +235,6 @@ def _round(sched: _Schedule, roots: np.ndarray):
     return hits, found, short, reached
 
 
-def _hits(blk: _Blocks, roots: np.ndarray, batch_hint: np.ndarray | None = None):
-    """Hit positions of every block of a pass (int64, block after block) and the number in each."""
-    k = blk.space.shape[0]
-    if batch_hint is None:
-        sched = blk.first
-    else:
-        sched = _schedule(blk, np.arange(k), np.full(k, -1, np.int64), np.zeros(k, np.int64),
-                          batch_hint)
-    hits, found, short, reached = _round(sched, roots)
-    if reached is None and sched.run.shape[0] == k:
-        return hits, found
-    # some block is still open: draw on from where each one stopped
-    todo = np.arange(k)
-    last = np.full(k, -1, np.int64)
-    draw = np.zeros(k, np.int64)
-    total = np.zeros(k, np.int64)
-    total[sched.run] = found
-    while True:
-        run = sched.run
-        draw[run] += sched.batch
-        if reached is not None:
-            last[run] = reached
-        todo = np.concatenate((run[short], todo[run.shape[0]:]))
-        if not todo.size:
-            return hits, total
-        sched = _schedule(blk, todo, last[todo], draw[todo], batch_hint)
-        got, found, short, reached = _round(sched, roots)
-        hits = np.insert(hits, np.repeat(np.cumsum(total)[sched.run], found), got)
-        total[sched.run] += found
-
-
 def _tri_rows(pos: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     """Row k < column l of each rank in the lexicographic order of pairs of m items.
 
@@ -284,33 +255,36 @@ def _tri_rows(pos: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
         k[high] += 1
 
 
-def _pass_edges(blk: _Blocks, roots: np.ndarray, constructive: bool):
-    """Edges (u, v) of one pass's blocks, block after block."""
-    pair, found = _hits(blk, roots)
-    k = found.shape[0]
-    owner = None if k == 1 else np.repeat(np.arange(k), found)
+def _round_edges(blk: _Blocks, sched: _Schedule, pair: np.ndarray, found: np.ndarray,
+                 constructive: bool):
+    """Edges (u, v) of one round's hit positions ``pair``, block after block."""
+    run = sched.run
+    owner = None if run.shape[0] == 1 else np.repeat(run, found)
 
     def per_hit(values):
-        return values[0] if owner is None else values[owner]
+        return values[run[0]] if owner is None else values[owner]
 
     if constructive:
         np.floor_divide(pair, per_hit(blk.ij), out=pair)
-        # a super pair is one edge however many of its vertex pairs hit, but
-        # equal pair ranks in two blocks are two edges
+        # a super pair is one edge however many of its vertex pairs hit, in
+        # this round or the block's last one, but equal ranks in two blocks
+        # are two edges; a fresh block's last is -1, a rank no pair has
         keep = np.empty(pair.shape[0], bool)
         np.not_equal(pair[1:], pair[:-1], out=keep[1:])
-        first = np.cumsum(found) - found
-        keep[first[found > 0]] = True
+        some = found > 0
+        first = (np.cumsum(found) - found)[some]
+        keep[first] = pair[first] != sched.last[some] // blk.ij[run[some]]
         pair = pair[keep]
         if owner is not None:
             owner = owner[keep]
 
     width = per_hit(blk.width)
-    if blk.diag.all():
+    diag = blk.diag[run]
+    if diag.all():
         rows, cols = _tri_rows(pair, width)
     else:
         rows, cols = np.divmod(pair, width)
-        if blk.diag.any():
+        if diag.any():
             on_diag = blk.diag[owner]
             rows[on_diag], cols[on_diag] = _tri_rows(pair[on_diag], width[on_diag])
     rows += per_hit(blk.first_u)
@@ -321,14 +295,32 @@ def _pass_edges(blk: _Blocks, roots: np.ndarray, constructive: bool):
 def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive=False):
     """Sample one realization's edge arrays (u, v), every block of <= 2^53 positions.
 
-    The arrays hold each pass's edges in turn; ``SuperGraph`` owns their order.
+    The arrays hold each round's edges in turn; ``SuperGraph`` owns their order.
     """
-    passes = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
-                   float(p), bool(constructive))
-    if not passes:
+    plan = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
+                 float(p), bool(constructive))
+    if plan is None:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    seed = int(seed)
-    done = [_pass_edges(blk, rng.stream_roots(seed, blk.keys), constructive) for blk in passes]
+    blk, first = plan
+    roots = rng.stream_roots(int(seed), blk.keys)
+    rounds = iter(first)
+    # the blocks whose batch ended short, the position each reached and its draws so far
+    todo = last = draw = np.empty(0, np.int64)
+    done = []
+    while True:
+        sched = next(rounds, None)
+        if sched is None:
+            if not todo.size:
+                break
+            sched = _schedule(blk, todo, last, draw)
+            n = sched.run.shape[0]
+            todo, last, draw = todo[n:], last[n:], draw[n:]
+        pair, found, short, reached = _round(sched, roots)
+        done.append(_round_edges(blk, sched, pair, found, constructive))
+        if reached is not None:
+            todo = np.concatenate((todo, sched.run[short]))
+            last = np.concatenate((last, reached[short]))
+            draw = np.concatenate((draw, sched.draw[short] + sched.batch[short]))
     if len(done) == 1:
         return done[0]
     return np.concatenate([u for u, _ in done]), np.concatenate([v for _, v in done])

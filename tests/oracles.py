@@ -7,7 +7,7 @@ arithmetic, fixed points via bisection of the scalar S equation and damped
 Newton on the two-type system instead of the production Newton iteration on S,
 edge lines via one Python f-string per row instead of NUL-padded digit groups,
 edge arrays via one Python iteration per size-class block instead of the
-kernel's all-blocks pass.
+kernel's shared rounds.
 """
 
 from collections import deque
@@ -210,14 +210,12 @@ def newton_two_type(mu: dict[int, float], u: float, c: float) -> dict[int, float
     return x
 
 
-def _block_positions(npairs_f: float, p_blk: float, root: int,
-                        batch_hint: int = 0) -> np.ndarray:
+def _block_positions(npairs_f: float, p_blk: float, root: int) -> np.ndarray:
     """Hit positions of a Bernoulli(p_blk) sequence of length npairs_f (int64).
 
     Draws land in batches sized to cover the whole block with ~6 sigma
-    slack, so the loop runs once in practice; batch_hint forces a smaller
-    batch (tests use it to exercise the stitching). Every geometric step is
-    at least 1, so the running positions never decrease and the first one at
+    slack, so the loop runs once in practice. Every geometric step is at
+    least 1, so the running positions never decrease and the first one at
     or past npairs_f, found by searchsorted, ends the block.
     """
     if p_blk >= 1.0:
@@ -228,7 +226,7 @@ def _block_positions(npairs_f: float, p_blk: float, root: int,
     draw = 0
     while True:
         expect = (npairs_f - last) * p_blk
-        batch = batch_hint if batch_hint > 0 else int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32
+        batch = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 32
         u = rng.uniforms(root, draw, batch)
         draw += batch
         cum = last + np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0)
@@ -264,7 +262,7 @@ def reference_sample_edges(class_sizes, class_counts, class_offsets, p, seed, co
     Same streams, positions and unranking as ``kernels.sample_edges``; a
     block past 2^53 positions raises when the loop reaches it. They come
     out in block order, each block's in position order, while the
-    kernel joins its passes in pass order, so tests compare the two in
+    kernel joins its rounds in round order, so tests compare the two in
     canonical order (sorted by the key u*N + v).
     """
     p, seed = float(p), int(seed)

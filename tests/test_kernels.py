@@ -19,10 +19,42 @@ def _plan(cfg, p, constructive=False):
                          p, constructive)
 
 
-def _pass_and_roots(cfg, p, seed, constructive=False):
-    """The graph's first pass and its blocks' stream roots."""
-    blk = _plan(cfg, p, constructive)[0]
-    return blk, rng.stream_roots(seed, blk.keys)
+def _runs(cfg, p, constructive=False):
+    """The blocks of each round that starts a block."""
+    return [sched.run.tolist() for sched in _plan(cfg, p, constructive)[1]]
+
+
+@pytest.fixture
+def fresh_plans():
+    """No memoised plan on entry or on exit, for a test that patches the round constants."""
+    kernels._plan.cache_clear()
+    yield
+    kernels._plan.cache_clear()
+
+
+@pytest.fixture(params=[(1, 0), (3, 2 ** 62), (7, 2), (64, 16)], ids=["1", "3", "7", "64"])
+def small_rounds(request, monkeypatch, fresh_plans):
+    """Rounds of at most R draws in which a block of A draws or more is alone, for (R, A) = param.
+
+    The ids name R. A = 0 puts every block in a round of its own, A = 2^62 none.
+    """
+    monkeypatch.setattr(kernels, "_ROUND_DRAWS", request.param[0])
+    monkeypatch.setattr(kernels, "_ALONE_DRAWS", request.param[1])
+    return request.param
+
+
+def _record_rounds(monkeypatch):
+    """Make kernels._round log each round's schedule and results in the returned list."""
+    calls = []
+    draw_round = kernels._round
+
+    def record(sched, roots):
+        result = draw_round(sched, roots)
+        calls.append((sched, *result))
+        return result
+
+    monkeypatch.setattr(kernels, "_round", record)
+    return calls
 
 
 def _canonical_keys(eu, ev, n):
@@ -49,7 +81,7 @@ class TestTriangularUnranking:
         assert list(zip(k.tolist(), l.tolist())) == _tri_pairs_reference(m)
 
     def test_one_side_per_rank(self):
-        # a shared pass unranks several diagonal blocks in one call
+        # a shared round unranks several diagonal blocks in one call
         sides = [2, 7, 60, 5]
         pos = np.concatenate([np.arange(m * (m - 1) // 2) for m in sides]).astype(np.int64)
         m = np.repeat(sides, [m * (m - 1) // 2 for m in sides])
@@ -68,64 +100,40 @@ class TestTriangularUnranking:
 
 
 class TestBlockPositions:
-    """The pass's hit positions, through its batch hook ``kernels._hits``."""
+    """A block's hit positions, drawn round after round."""
 
     def test_positions_prefix_property(self):
         # batched generation must cut at the first overshoot, like the
         # sequential loop does
-        blk, roots = _pass_and_roots(SizeConfiguration({1: 142}), 0.01, 4)
+        blk, rounds = _plan(SizeConfiguration({1: 142}), 0.01)
         space = int(blk.space[0])
         assert space == 10_011
-        full, found = kernels._hits(blk, roots)
+        roots = rng.stream_roots(4, blk.keys)
+        full, found, short, reached = kernels._round(rounds[0], roots)
+        assert len(rounds) == 1 and not short.any() and reached is None
         assert (np.diff(full) > 0).all()
         assert full[-1] < space
         assert found.tolist() == [full.shape[0]]
         assert np.array_equal(full, _block_positions(float(space), float(blk.p_blk[0]), int(roots[0])))
 
-    @pytest.mark.parametrize("hint", [1, 3, 7, 64])
-    def test_batched_stitching_matches_single_batch(self, hint):
-        # tiny forced batches make the refill loop run many times; the
-        # positions must not depend on the batching
-        blk, roots = _pass_and_roots(SizeConfiguration({1: 317}), 0.002, 21)
-        want, _ = kernels._hits(blk, roots)
-        got, found = kernels._hits(blk, roots, batch_hint=np.array([hint]))
-        assert np.array_equal(want, got)
-        assert found.tolist() == [want.shape[0]]
+    def test_batched_stitching_matches_single_batch(self, small_rounds):
+        # tiny rounds make the block draw on many times; its edges must not
+        # depend on the batching
+        cfg = SizeConfiguration({1: 317})
+        assert _plan(cfg, 0.002)[1][0].batch.tolist() == [small_rounds[0]]
+        _assert_matches_reference(cfg, 0.002, 21, False)
 
-    def test_batch_ending_on_the_last_hit(self):
-        # a batch of exactly the hit count ends on the last hit, so the loop
-        # refills once and the next batch overshoots on its first draw
-        blk, roots = _pass_and_roots(SizeConfiguration({1: 317}), 0.002, 21)
-        want, _ = kernels._hits(blk, roots)
-        assert want.shape[0] > 0
-        got, _ = kernels._hits(blk, roots, batch_hint=np.array([want.shape[0]]))
-        assert np.array_equal(want, got)
-
-    def test_one_block_of_many_refills_alone(self, monkeypatch):
-        # one block in the middle of a shared pass draws one number a round,
-        # its neighbours draw their usual batch and finish in the first round
-        cfg = power_law_configuration(5000, 2.0, 40)
-        blk, roots = _pass_and_roots(cfg, resolve_p("sparse", 3.0, cfg).p, 5)
-        want, want_found = kernels._hits(blk, roots)
-        k = want_found.shape[0]
-        assert k > 100
-        j = k // 2 + int(np.argmax(want_found[k // 2:] >= 3))
-        assert 0 < j < k - 1 and want_found[j] >= 3
-        hint = np.zeros(k, np.int64)
-        hint[j] = 1
-        runs = []
-        draw_round = kernels._round
-
-        def record(sched, roots):
-            runs.append(sched.run.tolist())
-            return draw_round(sched, roots)
-
-        monkeypatch.setattr(kernels, "_round", record)
-        got, found = kernels._hits(blk, roots, batch_hint=hint)
-        assert np.array_equal(found, want_found)
-        assert np.array_equal(got, want)
-        assert runs[0] == list(range(k))
-        assert runs[1:] == [[j]] * int(want_found[j])
+    def test_batch_ending_on_the_last_hit(self, monkeypatch, fresh_plans):
+        # a round of exactly the hit count ends on the last hit, so the block
+        # draws on and the next round overshoots on its first draw
+        cfg = SizeConfiguration({1: 317})
+        hits = reference_sample_edges(*cfg.size_classes(), 0.002, 21)[0].shape[0]
+        assert hits > 0
+        monkeypatch.setattr(kernels, "_ROUND_DRAWS", hits)
+        calls = _record_rounds(monkeypatch)
+        _assert_matches_reference(cfg, 0.002, 21, False)
+        assert [(found.tolist(), short.tolist()) for _, _, found, short, _ in calls] == [
+            ([hits], [True]), ([0], [False])]
 
     def test_batch_capped_below_2_61_over_the_gap_clip(self):
         # a block expecting ~1000 hits: its batch is cut to 2^61 // (space + 2)
@@ -133,16 +141,58 @@ class TestBlockPositions:
         # positions a block may have, where the cap is lowest.
         for counts, p, space, cap in [({2 ** 26: 2}, 1000.0 / 2 ** 52, 2 ** 52, 511),
                                       ({2 ** 26: 1, 2 ** 27: 1}, 1e-13, 2 ** 53, 255)]:
-            blk, roots = _pass_and_roots(SizeConfiguration(counts), p, 3, constructive=True)
+            cfg = SizeConfiguration(counts)
+            blk, rounds = _plan(cfg, p, constructive=True)
             assert int(blk.space[0]) == space
-            assert blk.first.batch.tolist() == [cap]
-            got, found = kernels._hits(blk, roots)
-            assert found[0] > cap  # more hits than one batch holds
-            assert np.array_equal(got, _block_positions(float(space), p, int(roots[0])))
+            assert rounds[0].batch.tolist() == [cap]
+            root = int(rng.stream_roots(3, blk.keys)[0])
+            assert _block_positions(float(space), p, root).shape[0] > cap  # more hits than one batch holds
+            _assert_matches_reference(cfg, p, 3, constructive=True)
+
+    def test_later_rounds_draw_only_blocks_that_ended_short(self, monkeypatch, fresh_plans):
+        # rounds of at most 64 draws: the first rounds start every block in
+        # block order, and each later round draws only open blocks
+        cfg = power_law_configuration(5000, 2.0, 40)
+        p = resolve_p("sparse", 3.0, cfg).p
+        monkeypatch.setattr(kernels, "_ROUND_DRAWS", 64)
+        calls = _record_rounds(monkeypatch)
+        _assert_matches_reference(cfg, p, 5, False)
+        first = _runs(cfg, p)
+        assert [b for run in first for b in run] == list(range(len(_plan(cfg, p)[0].space)))
+        assert 100 < len(first) < len(calls)
+        assert [sched.run.tolist() for sched, *_ in calls[:len(first)]] == first
+        open_blocks = set()
+        for r, (sched, _, _, short, _) in enumerate(calls):
+            run = sched.run.tolist()
+            if r >= len(first):
+                assert set(run) <= open_blocks
+            open_blocks = (open_blocks - set(run)) | set(sched.run[short].tolist())
+        assert not open_blocks
+
+
+class TestSmallRounds:
+    """The kernel's edges do not depend on how many draws a round holds or which blocks draw alone."""
+
+    @pytest.mark.parametrize("constructive", [False, True])
+    def test_every_pair_at_p_1(self, small_rounds, constructive):
+        # every position hits, so with constructive hits a super pair straddles
+        # round boundaries
+        _assert_matches_reference(SizeConfiguration({1: 3, 2: 4, 5: 2}), 1.0, 8, constructive)
+
+    def test_sparse_power_law(self, small_rounds):
+        cfg = power_law_configuration(5000, 2.0, 40)
+        _assert_matches_reference(cfg, resolve_p("sparse", 3.0, cfg).p, 5, False)
+
+    def test_rounds_split_to_keep_sums_in_int64(self, small_rounds):
+        cfg = SizeConfiguration({2 ** 24 + i: 4 for i in range(10)})
+        _assert_matches_reference(cfg, 1e-15, 11, constructive=True)
+
+    def test_block_of_exactly_2_53_positions(self, small_rounds):
+        _assert_matches_reference(SizeConfiguration({2 ** 26: 1, 2 ** 27: 1}), 1e-18, 0, True)
 
 
 class TestAgainstPerBlockReference:
-    """The one-pass kernel gives the per-block loop's edge arrays exactly."""
+    """The kernel gives the per-block loop's edges exactly."""
 
     @settings(max_examples=80, deadline=None)
     @given(counts=st.dictionaries(st.integers(1, 50), st.integers(1, 300), min_size=1, max_size=8),
@@ -170,12 +220,10 @@ class TestAgainstPerBlockReference:
 
     @pytest.mark.parametrize("constructive", [False, True])
     def test_large_block_between_small_ones(self, constructive):
-        # block 3 (the size-2 class with itself) gets a pass of its own, so the
-        # passes join in an order that is not block order
+        # block 3 (the size-2 class with itself) has a round of its own, which
+        # cuts the small blocks' rounds in two
         cfg = SizeConfiguration({1: 2, 2: 2000, 3: 2})
-        keys = [blk.keys.tolist() for blk in _plan(cfg, 0.01, constructive)]
-        streams = [[2 * b + constructive for b in run] for run in [[3], [0, 1, 2, 4, 5]]]
-        assert keys == [rng.stream_keys(np.array(s, np.uint64)).tolist() for s in streams]
+        assert _runs(cfg, 0.01, constructive) == [[0, 1, 2], [3], [4, 5]]
         _assert_matches_reference(cfg, 0.01, 6, constructive)
 
     @pytest.mark.parametrize("counts, p, constructive", [({1: 2000}, 0.6, False),
@@ -198,9 +246,8 @@ class TestAgainstPerBlockReference:
         # 55 blocks of up to 2^52 positions: their capped gap sums pass 2^62,
         # so the first round takes only a prefix of the blocks
         cfg = SizeConfiguration({2 ** 24 + i: 4 for i in range(10)})
-        blk, _ = _pass_and_roots(cfg, 1e-15, 0, constructive=True)
-        assert len(_plan(cfg, 1e-15, True)) == 1
-        assert 0 < blk.first.run.shape[0] < blk.space.shape[0] == 55
+        blk, rounds = _plan(cfg, 1e-15, True)
+        assert 0 < rounds[0].run.shape[0] < blk.space.shape[0] == 55
         _assert_matches_reference(cfg, 1e-15, 11, constructive=True)
 
     @pytest.mark.parametrize("constructive", [False, True])
