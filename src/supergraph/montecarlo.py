@@ -253,7 +253,7 @@ def _giant(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
 def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
     """The degree law Z_k/N at p = c/n against the mixed Poisson."""
     c_sparse = params.p * plan.config.num_vertices
-    pmf_lumped = theory.lumped_pmf(theory._mixed_poisson(profile, c_sparse))
+    pmf_lumped = theory._lumped_degree_law(profile, c_sparse)
     cutoff = len(pmf_lumped) - 1
     trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from .config import LimitProfile, SizeConfiguration, _check_float_range
 
 TAIL_LUMP = 1e-9  # default truncation: the first k whose tail is below this
+_HEAD_TERMS = 10 ** 6  # a pmf head that needs more terms than this is refused
 
 _U_EQUAL_ONE_TOL = 1e-9
 
@@ -266,7 +267,7 @@ def lumped_pmf(pmf: Callable[[int], float], tail_below: float = TAIL_LUMP) -> li
         value = pmf(len(head))
         head.append(value)
         total += value
-        if len(head) > 10 ** 6:  # a tail_below under the rounding of the total is never met
+        if len(head) > _HEAD_TERMS:  # a tail_below under the rounding of the total is never met
             raise RuntimeError(f"pmf head passed 10^6 terms with a tail of {1.0 - total:.3g} "
                                f"still >= tail_below={tail_below!r}")
     head.append(tail_mass(head))
@@ -279,9 +280,26 @@ def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
     return tail_mass([pmf(j) for j in range(k)])
 
 
+def _lumped_degree_law(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
+    """``lumped_pmf`` of the limiting degree law, refused before the walk when it cannot end.
+
+    A Poisson median is at least its rate minus ln 2, and past a rate of
+    10^5 no value has probability 0.01. So a class of rate i c >= 10^6 - 1
+    keeps a tail above mu_i / 4 past a head of 10^6 terms; when that is at
+    least tail_below, this raises a ValueError naming the size and its rate
+    instead of walking the head.
+    """
+    pmf = _mixed_poisson(profile, c)
+    for i, m in profile.mu.items():
+        if i * c >= _HEAD_TERMS - 1 and m / 4 >= tail_below:
+            raise ValueError(f"degree law of size {i} at rate i*c = {i * c:.6g}: a pmf head of "
+                             f"10^6 terms leaves a tail > {m / 4:.3g}, not below {tail_below!r}")
+    return lumped_pmf(pmf, tail_below)
+
+
 def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
     """[P(Xi = k) for k below degree_pmf_cutoff]: ``lumped_pmf`` without the lump."""
-    return lumped_pmf(_mixed_poisson(profile, c), tail_below)[:-1]
+    return _lumped_degree_law(profile, c, tail_below)[:-1]
 
 
 def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> int:

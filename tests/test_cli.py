@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -211,6 +212,19 @@ class TestExitCodes:
                                  "--c", "1", *seed, *trials)
         assert code == 1 and out == ""
         assert err.startswith("supergraph: error:") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["predict", "degree"])
+    def test_degree_law_past_the_head_limit_fails_fast(self, capsys, command):
+        # the size-10^6 class has degree mean i*c = 10^6, so the degree pmf head
+        # cannot end within 10^6 terms; walking them took ~2 s before failing
+        trials = ["--trials", "2", "--seed", "1"] if command == "degree" else []
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--inline", "1x10,1000000x2", "--regime",
+                                 "sparse", "--c", "1", *trials)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("supergraph: error: degree law of size 1000000 at rate i*c = 1e+06")
         assert err.count("\n") == 1
 
     def test_predicts_a_configuration_past_int64(self, capsys):

@@ -390,3 +390,9 @@ class TestMixedPoisson:
             lumped_pmf(lambda k: poisson_pmf(1.0, k), tail_below)
         with pytest.raises(ValueError, match="tail_below"):
             degree_pmf_head(PROFILE_HALF, 1.0, tail_below)
+
+    def test_head_that_never_ends_is_cut_at_the_term_limit(self, monkeypatch):
+        # the guard for a tail_below that the head's rounded total never meets
+        monkeypatch.setattr(theory, "_HEAD_TERMS", 50)
+        with pytest.raises(RuntimeError, match="pmf head passed"):
+            lumped_pmf(lambda k: 0.0)
