@@ -115,8 +115,8 @@ def _first_batch(dist, p_blk):
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(classes: tuple, p: float, constructive: bool):
-    """A graph's seed-free block table and the rounds that start every block; None if no block is live."""
+def _plan(classes: tuple, p: float, constructive: bool) -> tuple[_Blocks, tuple[_Schedule, ...]] | None:
+    """A graph's seed-free block table and the rounds that start every block; None if none is live."""
     rows = []
     block = 0
     for a, (size_a, ca, oa) in enumerate(classes):
