@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import bfs_component_sizes
-from supergraph import rng
+from supergraph import kernels, rng
 from supergraph.config import SizeConfiguration
 from supergraph.graph import (connected_components, degree_histogram,
                               isolated_count)
@@ -123,7 +123,11 @@ SHAPES = {
 
 
 class TestAgainstBfsOracle:
-    def test_random_graphs_match_bfs(self):
+    # the lane names the benchmark records from kernels.numba_enabled(); the
+    # flag is provenance only, so labels must match BFS whichever it reports
+    @pytest.mark.parametrize("lane", ["numba", "numpy"])
+    def test_random_graphs_match_bfs(self, monkeypatch, lane):
+        monkeypatch.setattr(kernels, "numba_enabled", lambda: lane == "numba")
         cfg = SizeConfiguration({1: 120, 2: 40})
         for c in (0.5, 1.0, 2.0):
             params = resolve_p("sparse", c, cfg)
