@@ -7,7 +7,7 @@ import pytest
 
 from supergraph import montecarlo, rng, sampler, theory
 from supergraph.cli import render_report
-from supergraph.config import SizeConfiguration, power_law_configuration
+from supergraph.config import SizeConfiguration, empirical_profile, power_law_configuration
 from supergraph.graph import connected_components, degrees
 from supergraph.montecarlo import (ExperimentPlan, ExperimentReport, run_experiment,
                                    total_variation)
@@ -122,6 +122,28 @@ class TestDegreeExperiment:
             pmf = report.distributions[name]
             assert all(v >= 0 for v in pmf.values())
             assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+
+    # In both cases the unclamped empirical tail at k = 0 sums to 1.0000000000000002,
+    # so the clamp at 1.0 is exercised.
+    @pytest.mark.parametrize("counts, trials", [({1: 70, 3: 13}, 1), ({1: 50, 3: 10}, 7)],
+                             ids=["one_trial", "seven_trials"])
+    def test_report_matches_public_theory_bit_for_bit(self, counts, trials):
+        report = run_experiment(plan_for(counts, "sparse", 1.5, trials, 2, "degree"))
+        profile = empirical_profile(SizeConfiguration(counts))
+        c_sparse = report.theory["c_sparse"]
+        head = theory.degree_pmf_head(profile, c_sparse)
+        dist = report.distributions
+        assert list(dist["degree_theory"].values()) == head + [theory.tail_mass(head)]
+        assert dist["degree_tail_theory"] == {
+            k: theory.mixed_poisson_tail(profile, c_sparse, k) for k in range(len(head) + 1)}
+        hist = list(dist["degree_hist"].values())
+        running, tails = 0.0, []
+        for value in reversed(hist):
+            running += value
+            tails.append(running)
+        assert running == 1.0000000000000002
+        assert list(dist["degree_tail_empirical"].values()) == [min(t, 1.0) for t in reversed(tails)]
+        assert list(dist["degree_tail_empirical"]) == list(dist["degree_hist"])
 
 
 class TestEstimatorProperties:
