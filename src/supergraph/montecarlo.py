@@ -253,37 +253,28 @@ def _giant(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
 def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
     """The degree law Z_k/N at p = c/n against the mixed Poisson."""
     c_sparse = params.p * plan.config.num_vertices
-    pmf_lumped = theory._lumped_degree_law(profile, c_sparse)
-    cutoff = len(pmf_lumped) - 1
+    head = theory.degree_pmf_head(profile, c_sparse)
+    cutoff = len(head)
     trial_stats, totals = _run_trials(plan, params, degree_cutoff=cutoff)
 
     # average Z_k/N over trials; the counts are exact integers
-    weight = 1.0 / (plan.trials * plan.config.num_super)
-    empirical = {k: float(v) * weight for k, v in enumerate(totals)}
+    empirical = totals * (1.0 / (plan.trials * plan.config.num_super))
+    # cumsum adds in order, so the tail at k sums the bins from the cutoff down to k
+    tail_emp = np.minimum(np.cumsum(empirical[::-1])[::-1], 1.0)
+    pmf_theory = dict(enumerate(head + [theory.tail_mass(head)]))
+    hist = dict(enumerate(empirical.tolist()))
 
-    pmf_theory = dict(enumerate(pmf_lumped))
-    # the tails theory.mixed_poisson_tail gives, from the pmf already at hand
-    tail_th = {k: theory.tail_mass(pmf_lumped[:k]) for k in range(cutoff + 1)}
-    tv = total_variation(empirical, pmf_theory)
-
-    tail_emp = {}
-    running = 0.0
-    for k in range(cutoff, -1, -1):
-        running += empirical[k]
-        tail_emp[k] = min(running, 1.0)
-    tail_emp = dict(sorted(tail_emp.items()))
-
-    estimates = {"tv_degree": (tv, None)}
+    estimates = {"tv_degree": (total_variation(hist, pmf_theory), None)}
     theory_block = {
         "mean_degree": c_sparse * profile.u,
         "c_sparse": c_sparse,
         "k_max": float(cutoff),
     }
     distributions = {
-        "degree_hist": empirical,
+        "degree_hist": hist,
         "degree_theory": pmf_theory,
-        "degree_tail_empirical": tail_emp,
-        "degree_tail_theory": tail_th,
+        "degree_tail_empirical": dict(enumerate(tail_emp.tolist())),
+        "degree_tail_theory": {k: theory.tail_mass(head[:k]) for k in range(cutoff + 1)},
     }
     return estimates, theory_block, distributions, trial_stats
 

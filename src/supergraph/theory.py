@@ -280,8 +280,8 @@ def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
     return tail_mass([pmf(j) for j in range(k)])
 
 
-def _lumped_degree_law(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
-    """``lumped_pmf`` of the limiting degree law, refused before the walk when it cannot end.
+def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
+    """[P(Xi = k) for k below degree_pmf_cutoff]: ``lumped_pmf`` of the degree law without the lump.
 
     A Poisson median is at least its rate minus ln 2, and past a rate of
     10^5 no value has probability 0.01. So a class of rate i c >= 10^6 - 1
@@ -294,12 +294,7 @@ def _lumped_degree_law(profile: LimitProfile, c: float, tail_below: float = TAIL
         if i * c >= _HEAD_TERMS - 1 and m / 4 >= tail_below:
             raise ValueError(f"degree law of size {i} at rate i*c = {i * c:.6g}: a pmf head of "
                              f"10^6 terms leaves a tail > {m / 4:.3g}, not below {tail_below!r}")
-    return lumped_pmf(pmf, tail_below)
-
-
-def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
-    """[P(Xi = k) for k below degree_pmf_cutoff]: ``lumped_pmf`` without the lump."""
-    return _lumped_degree_law(profile, c, tail_below)[:-1]
+    return lumped_pmf(pmf, tail_below)[:-1]
 
 
 def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> int:
