@@ -1,8 +1,10 @@
-"""Two lint rules over ``src/supergraph``, checked with the standard library's ``ast``.
+"""Three lint rules over ``src/supergraph``, checked with the standard library's ``ast``.
 
 * Every import is used, listed in ``__all__`` or marked ``# noqa: F401``.
 * Every module-level private name (``_x``, not a dunder) is used somewhere
   in the package outside its own definition.
+* A module imports or reads another package module's private name only
+  where the pair is listed in ``SHARED_PRIVATE``.
 """
 
 import ast
@@ -12,6 +14,15 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supergraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# (reader, owner, name): the private helpers one package module shares with
+# another on purpose. Any other such read reaches into a module's internals.
+SHARED_PRIVATE = {
+    ("montecarlo", "graph", "_component_sizes"),
+    ("montecarlo", "sampler", "_check_num_super"),
+    ("montecarlo", "sampler", "_check_seed"),
+    ("theory", "config", "_check_float_range"),
+}
 
 
 def _parse(path):
@@ -34,6 +45,35 @@ def _used_names(node):
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_reads(path, tree):
+    """(reader, owner, name) for each private name of another package module that path reads."""
+    reader = path.stem
+    modules = {p.stem for p in MODULES}
+    aliases = {}  # local name -> the package module it binds
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:  # absolute: only supergraph[.owner] counts
+                if parts[0] != "supergraph":
+                    continue
+                parts = parts[1:]
+            owner = parts[0] if parts and parts[0] else None
+            for alias in node.names:
+                if owner is None and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif owner is not None and _is_private(alias.name):
+                    reads.add((reader, owner, alias.name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and _is_private(node.attr)):
+            reads.add((reader, aliases[node.value.id], node.attr))
+    return {read for read in reads if read[1] != reader}
 
 
 def _exported(tree):
@@ -82,8 +122,16 @@ def test_every_private_name_is_used():
     unused = []
     for module, node in statements:
         for name in _defined(node):
-            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            if not _is_private(name):
                 continue
             if not any(name in names for other, names in uses if other is not node):
                 unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, f"private names used nowhere but their own definition: {unused}"
+
+
+def test_private_names_cross_modules_only_where_listed():
+    reads = set()
+    for path in MODULES:
+        reads |= _foreign_private_reads(path, _parse(path)[1])
+    assert not reads - SHARED_PRIVATE, f"unlisted private reads: {sorted(reads - SHARED_PRIVATE)}"
+    assert not SHARED_PRIVATE - reads, f"listed reads that no longer happen: {sorted(SHARED_PRIVATE - reads)}"
