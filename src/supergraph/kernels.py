@@ -116,7 +116,17 @@ def _first_batch(dist, p_blk):
 
 @functools.lru_cache(maxsize=16)
 def _plan(classes: tuple, p: float, constructive: bool) -> tuple[_Blocks, tuple[_Schedule, ...]] | None:
-    """A graph's seed-free block table and the rounds that start every block; None if none is live."""
+    """A graph's seed-free block table and the rounds that start every block; None if none is live.
+
+    The rounds that start every block depend on the graph and p alone, so
+    they are memoised with the table; ``sample_edges`` schedules per call
+    only the rounds that finish blocks whose batch ended short. Both go
+    through ``_schedule``, so the memo is not a second scheduling path. On
+    the 58-class power-law graph (N = 100k, 1,698 live blocks) the last of
+    its 3 first rounds holds 1,696 blocks and 129,498 draws; scheduling
+    every round per call took ``sample_edges`` from 6.5 to 7.7 ms a call
+    (median of 15, 2-vCPU VM).
+    """
     rows = []
     block = 0
     for a, (size_a, ca, oa) in enumerate(classes):
