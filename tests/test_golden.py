@@ -7,10 +7,11 @@ generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
 digits), and the JSON reports of the three experiments with the
 ``wall_time`` line removed (one giant report on N = 20,000, where labelling
 takes several hook rounds, and one degree report on a 34-class power-law
-configuration). A refactor of the kernels, the component
+configuration), and the CSV renderings of the same reports. A refactor of the kernels, the component
 labelling or the theory must leave all of them unchanged.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -114,6 +115,14 @@ REPORT_HASHES = {
     "giant": "afe71812aa5e1e0c277f5b1e36fb1f4cdbb5279c91c6a11e050f225ca962db9f",
     "giant_at_scale": "c549391e284db5414ef3198edcc4d117bbea50d64c4be70c43ebaed8ff065913",
 }
+# the CSV has no wall_time: per-trial rows, or the degree pmfs
+CSV_REPORT_HASHES = {
+    "connectivity": "b5c8f27bb048ae995abf7ffdee84b4736bb569024fad20911347d71499321d4c",
+    "degree": "366e60c13ca5a0b12a3cea56ecfe049bb587e1e59daae846ee91b388ca24753b",
+    "degree_power_law": "5d9dbe402202ff27d87c9cc25823d9d42a4d952a6c1296acc73ba8f81c8981ec",
+    "giant": "98f7d16efd0deb015aef63469fa25e83ab3e22608deba6907ccb0ab716b626ca",
+    "giant_at_scale": "defdfd18910146571c9bd68d6b98040e47d038d38b07d8ed1909993cba540d43",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -161,11 +170,21 @@ def test_generate_bytes_wide_endpoints(capsys, sampler):
     assert _sha(capsys.readouterr().out.encode()) == WIDE_GENERATE_HASHES[sampler]
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_PLANS))
-def test_report_without_wall_time(name):
+@functools.cache
+def _report(name):
     experiment, counts, regime, c, trials, seed = REPORT_PLANS[name]
     plan = ExperimentPlan(config=SizeConfiguration(counts), regime=regime, c=c,
                           trials=trials, seed=seed, experiment=experiment)
-    rendered = render_report(run_experiment(plan), "json")
+    return run_experiment(plan)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PLANS))
+def test_report_without_wall_time(name):
+    rendered = render_report(_report(name), "json")
     kept = "\n".join(line for line in rendered.splitlines() if '"wall_time"' not in line)
     assert _sha(kept.encode()) == REPORT_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PLANS))
+def test_csv_report(name):
+    assert _sha(render_report(_report(name), "csv").encode()) == CSV_REPORT_HASHES[name]

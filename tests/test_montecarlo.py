@@ -220,6 +220,9 @@ class TestTrialPath:
                                                              "L2"))))
             assert got == records, seed
             assert np.array_equal(totals, want_totals), seed
+            assert stats["connected"].dtype == np.int8
+            assert all(stats[key].dtype == np.int64 for key in ("isolated", "L1", "L2"))
+            assert totals.dtype == np.int64
 
     @pytest.mark.parametrize("experiment", ["connectivity", "giant", "degree"])
     def test_trials_build_no_super_graph(self, monkeypatch, experiment):
