@@ -107,44 +107,37 @@ def _worker_count(plan: ExperimentPlan) -> int:
 def _run_trials(plan: ExperimentPlan, params: ModelParams, degree_cutoff: int | None = None):
     """Sample and analyse all trials, then run the isolated-count guard.
 
-    Returns the per-trial record {"connected", "isolated", "L1", "L2"} and,
-    given degree_cutoff, the degree counts summed over trials and lumped at
-    the cutoff (otherwise None). Each trial takes the kernel's edge arrays as
-    they come; ``sample_direct`` would draw the same edges for the same seed.
+    Each trial is one int64 row: X, L1, L2, then (given degree_cutoff) its degree
+    counts lumped at the cutoff. The per-trial record {"connected", "isolated", "L1",
+    "L2"} and the degree counts summed over trials (or None) come off the stacked rows.
     """
     n = plan.config.num_super
     _check_num_super(n)  # before any array of N entries exists
     classes = plan.config.size_classes()
 
-    def one(t: int):
+    def one(t: int) -> np.ndarray:
         eu, ev = kernels.sample_edges(*classes, params.p, rng.stream_root(plan.seed, t))
         sizes = _component_sizes(n, eu, ev)
-        hist = None
-        if degree_cutoff is not None:
-            degree = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
-            hist = _lump_counts(degree, degree_cutoff)
-        isolated = int((sizes == 1).sum())
-        if sizes.shape[0] == 1:
-            return True, isolated, int(sizes[0]), 0, hist
-        top = np.partition(sizes, -2)  # the largest two sizes, in order, at the end
-        return False, isolated, int(top[-1]), int(top[-2]), hist
+        # the largest two sizes, in order, at the end; one component leaves L2 = 0
+        top = np.partition(sizes, -2)[-2:] if sizes.shape[0] > 1 else (0, sizes[0])
+        row = np.array([(sizes == 1).sum(), top[1], top[0]], dtype=np.int64)
+        if degree_cutoff is None:
+            return row
+        degree = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+        return np.concatenate((row, _lump_counts(degree, degree_cutoff)))
 
     workers = _worker_count(plan)
     if workers == 1:
-        results = [one(t) for t in range(plan.trials)]
+        rows = [one(t) for t in range(plan.trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(plan.trials)))
+            rows = list(pool.map(one, range(plan.trials)))
 
-    trial_stats = {
-        "connected": np.array([r[0] for r in results], dtype=np.int8),
-        "isolated": np.array([r[1] for r in results], dtype=np.int64),
-        "L1": np.array([r[2] for r in results], dtype=np.int64),
-        "L2": np.array([r[3] for r in results], dtype=np.int64),
-    }
-    _check_isolated_estimator(plan, params, trial_stats["isolated"])
-    degree_counts = None if degree_cutoff is None else sum(r[4] for r in results)
-    return trial_stats, degree_counts
+    table = np.array(rows, dtype=np.int64)
+    isolated, l1, l2 = np.ascontiguousarray(table[:, :3].T)  # a copy: no view pins the table
+    stats = {"connected": (l1 == n).astype(np.int8), "isolated": isolated, "L1": l1, "L2": l2}
+    _check_isolated_estimator(plan, params, isolated)
+    return stats, None if degree_cutoff is None else table[:, 3:].sum(axis=0)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float | None]:
@@ -261,7 +254,13 @@ def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
     empirical = totals * (1.0 / (plan.trials * plan.config.num_super))
     # cumsum adds in order, so the tail at k sums the bins from the cutoff down to k
     tail_emp = np.minimum(np.cumsum(empirical[::-1])[::-1], 1.0)
-    pmf_theory = dict(enumerate(head + [theory.tail_mass(head)]))
+    # tail_mass(head[:k]) for every k from one exact running sum: each value is an
+    # integer multiple of 2^-1074, and int / int rounds once, as fsum does
+    scale, total, tail_theory = 1 << 1074, 0, [theory.tail_mass([])]
+    for num, den in map(float.as_integer_ratio, head):
+        total += num * scale // den
+        tail_theory.append(theory.tail_mass([total / scale]))
+    pmf_theory = dict(enumerate(head + tail_theory[-1:]))
     hist = dict(enumerate(empirical.tolist()))
 
     estimates = {"tv_degree": (total_variation(hist, pmf_theory), None)}
@@ -274,7 +273,7 @@ def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
         "degree_hist": hist,
         "degree_theory": pmf_theory,
         "degree_tail_empirical": dict(enumerate(tail_emp.tolist())),
-        "degree_tail_theory": {k: theory.tail_mass(head[:k]) for k in range(cutoff + 1)},
+        "degree_tail_theory": dict(enumerate(tail_theory)),
     }
     return estimates, theory_block, distributions, trial_stats
 
