@@ -107,6 +107,7 @@ def _cmd_predict(args) -> int:
         "c_star": theory.critical_threshold(profile),
         "rho": solution.rho,
         "rho_by_size": {str(i): v for i, v in sorted(solution.rho_by_size.items())},
+        "giant_solver": {"iterations": solution.iterations, "residual": solution.residual},
         "degree_pmf": theory.degree_pmf_head(profile, c_sparse),
     }
     with _output(args) as out:

@@ -5,9 +5,11 @@ import time
 import pytest
 
 from oracles import bisect_giant_fraction
+from supergraph import theory
 from supergraph.cli import main, render_report
-from supergraph.config import SizeConfiguration
+from supergraph.config import SizeConfiguration, empirical_profile, parse_inline
 from supergraph.montecarlo import ExperimentPlan, ExperimentReport, run_experiment
+from supergraph.sampler import resolve_p
 
 
 def run_cli(capsys, *argv):
@@ -81,9 +83,20 @@ class TestPredict:
         want = bisect_giant_fraction({1: 0.5, 2: 0.5}, c)
         assert json.loads(out)["rho"] == pytest.approx(want, rel=1e-9, abs=0.0)
 
-    def test_moments_match_theory(self, capsys):
-        from supergraph import theory
+    # c* = 2/3 on 1x1000,2x500, so c = 0.3 is subcritical; c* = 0.6 on 1x50000,2x50000
+    @pytest.mark.parametrize("inline,c", [("1x1000,2x500", 0.3), ("1x1000,2x500", 1.2),
+                                          ("1x50000,2x50000", 0.6 * (1.0 + 1e-6))])
+    def test_reports_the_giant_solver(self, capsys, inline, c):
+        code, out, _ = run_cli(capsys, "predict", "--inline", inline, "--regime", "sparse",
+                               "--c", repr(c))
+        assert code == 0
+        config = parse_inline(inline)
+        c_sparse = resolve_p("sparse", c, config).p * config.num_vertices
+        want = theory.solve_giant_fraction(empirical_profile(config), c_sparse)
+        assert json.loads(out)["giant_solver"] == {"iterations": want.iterations,
+                                                   "residual": want.residual}
 
+    def test_moments_match_theory(self, capsys):
         code, out, _ = run_cli(capsys, "predict", "--inline", "1x50",
                                "--regime", "raw", "--c", "0.1")
         doc = json.loads(out)
