@@ -107,9 +107,9 @@ def _worker_count(plan: ExperimentPlan) -> int:
 def _run_trials(plan: ExperimentPlan, params: ModelParams, degree_cutoff: int | None = None):
     """Sample and analyse all trials, then run the isolated-count guard.
 
-    Each trial is one int64 row: X, L1, L2, then (given degree_cutoff) its degree
-    counts lumped at the cutoff. The per-trial record {"connected", "isolated", "L1",
-    "L2"} and the degree counts summed over trials (or None) come off the stacked rows.
+    Each trial is one int64 row: the isolated count, L1, L2, then (given degree_cutoff)
+    its degree counts lumped at the cutoff. The per-trial record {"connected", "isolated",
+    "L1", "L2"} and the degree counts summed over trials (or None) come off the stacked rows.
     """
     n = plan.config.num_super
     _check_num_super(n)  # before any array of N entries exists

@@ -7,8 +7,9 @@ generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
 digits), and the JSON reports of the three experiments with the
 ``wall_time`` line removed (one giant report on N = 20,000, where labelling
 takes several hook rounds, and one degree report on a 34-class power-law
-configuration), and the CSV renderings of the same reports. A refactor of the kernels, the component
-labelling or the theory must leave all of them unchanged.
+configuration), and the CSV renderings of the same reports. A refactor of
+the kernels, the component labelling or the theory must leave all of them
+unchanged.
 """
 
 import functools
