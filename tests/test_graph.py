@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import bfs_component_sizes
 from supergraph import kernels, rng
 from supergraph.config import SizeConfiguration
-from supergraph.graph import (connected_components, degree_histogram,
+from supergraph.graph import (_component_sizes, connected_components, degree_histogram,
                               isolated_count)
 from supergraph.sampler import SuperGraph, resolve_p, sample_direct
 
@@ -106,20 +108,87 @@ def _shuffled_tree(rng, n):
     return [(q[i], q[rng.integers(0, i)]) for i in range(1, n)]
 
 
-SHAPE_N = 3000
+def _path_in_order(rng, n):
+    return [(i, i + 1) for i in range(n - 1)]
 
-# name -> (N, edges from a numpy Generator): shapes whose labels make hooking
-# and pointer jumping run the longest, plus the degenerate graphs
+
+def _star_centre_last(rng, n):
+    return [(i, n - 1) for i in range(n - 1)]
+
+
+SHAPE_N = 3000
+BIG_SHAPE_N = 40_000
+
+# name -> (N, edges from a numpy Generator and N): shapes whose labels make hooking
+# and pointer jumping run the longest, plus the degenerate graphs; the *_40k
+# shapes span several of the pieces that labelling sweeps
 SHAPES = {
-    "path_in_order": (SHAPE_N, lambda rng: [(i, i + 1) for i in range(SHAPE_N - 1)]),
-    "path_shuffled": (SHAPE_N, lambda rng: _shuffled_path(rng, SHAPE_N)),
-    "two_paths_shuffled": (SHAPE_N, lambda rng: _shuffled_path(rng, SHAPE_N, cut=1000)),
-    "star_centre_first": (SHAPE_N, lambda rng: [(0, i) for i in range(1, SHAPE_N)]),
-    "star_centre_last": (SHAPE_N, lambda rng: [(i, SHAPE_N - 1) for i in range(SHAPE_N - 1)]),
-    "tree_shuffled": (SHAPE_N, lambda rng: _shuffled_tree(rng, SHAPE_N)),
-    "single_vertex": (1, lambda rng: []),
-    "edgeless": (SHAPE_N, lambda rng: []),
+    "path_in_order": (SHAPE_N, _path_in_order),
+    "path_shuffled": (SHAPE_N, _shuffled_path),
+    "two_paths_shuffled": (SHAPE_N, lambda rng, n: _shuffled_path(rng, n, cut=1000)),
+    "star_centre_first": (SHAPE_N, lambda rng, n: [(0, i) for i in range(1, n)]),
+    "star_centre_last": (SHAPE_N, _star_centre_last),
+    "tree_shuffled": (SHAPE_N, _shuffled_tree),
+    "single_vertex": (1, lambda rng, n: []),
+    "edgeless": (SHAPE_N, lambda rng, n: []),
+    "path_in_order_40k": (BIG_SHAPE_N, _path_in_order),
+    "path_shuffled_40k": (BIG_SHAPE_N, _shuffled_path),
+    "star_centre_last_40k": (BIG_SHAPE_N, _star_centre_last),
+    "tree_shuffled_40k": (BIG_SHAPE_N, _shuffled_tree),
 }
+
+
+def _read_only(a):
+    a = np.array(a, np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def _labelled_sizes(n, edges):
+    """_component_sizes on read-only edge columns, largest first: a write into them raises."""
+    edges = np.array(edges, np.int64).reshape(-1, 2)
+    sizes = _component_sizes(n, _read_only(edges[:, 0]), _read_only(edges[:, 1]))
+    return sorted(sizes.tolist(), reverse=True)
+
+
+@st.composite
+def _edge_sets(draw):
+    """(n, distinct rows (u, v) with 0 <= u < v < n, in random order), n <= 300."""
+    n = draw(st.integers(1, 300))
+    if n == 1:
+        return n, []
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    rows = draw(st.lists(ends.map(sorted).map(tuple), unique=True, max_size=2 * n))
+    return n, draw(st.permutations(rows))
+
+
+def _assert_random_graphs_match_bfs():
+    cfg = SizeConfiguration({1: 120, 2: 40})
+    for c in (0.5, 1.0, 2.0):
+        params = resolve_p("sparse", c, cfg)
+        for t in range(5):
+            root = rng.stream_root(11, t)
+            graph = sample_direct(cfg, params, root)
+            summary = connected_components(graph)
+            want = bfs_component_sizes(graph.num_super, graph.edges.tolist())
+            assert summary.sizes_desc.tolist() == want
+            assert summary.isolated_count == isolated_count(graph)
+            # the kernel's own arrays, in the order it returns them, as trials pass them
+            eu, ev = kernels.sample_edges(*cfg.size_classes(), params.p, root)
+            assert _labelled_sizes(graph.num_super, np.column_stack((eu, ev))) == want
+
+
+def _assert_shape_matches_bfs(shape):
+    n, make_edges = SHAPES[shape]
+    edges = np.sort(np.array(make_edges(np.random.default_rng(7), n), np.int64).reshape(-1, 2),
+                    axis=1)
+    want = bfs_component_sizes(n, edges.tolist())
+    graph = graph_of(n, edges)
+    summary = connected_components(graph)
+    assert summary.sizes_desc.tolist() == want
+    assert summary.isolated_count == isolated_count(graph)
+    # the rows as made, before SuperGraph puts them in canonical order
+    assert _labelled_sizes(n, edges) == want
 
 
 class TestAgainstBfsOracle:
@@ -128,15 +197,7 @@ class TestAgainstBfsOracle:
     @pytest.mark.parametrize("lane", ["numba", "numpy"])
     def test_random_graphs_match_bfs(self, monkeypatch, lane):
         monkeypatch.setattr(kernels, "numba_enabled", lambda: lane == "numba")
-        cfg = SizeConfiguration({1: 120, 2: 40})
-        for c in (0.5, 1.0, 2.0):
-            params = resolve_p("sparse", c, cfg)
-            for t in range(5):
-                graph = sample_direct(cfg, params, rng.stream_root(11, t))
-                summary = connected_components(graph)
-                want = bfs_component_sizes(graph.num_super, graph.edges.tolist())
-                assert summary.sizes_desc.tolist() == want
-                assert summary.isolated_count == isolated_count(graph)
+        _assert_random_graphs_match_bfs()
 
     @pytest.mark.parametrize("c", [1.5, 2.0])
     def test_graph_at_scale_matches_bfs(self, c):
@@ -149,12 +210,14 @@ class TestAgainstBfsOracle:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_adversarial_shapes_match_bfs(self, shape):
-        n, make_edges = SHAPES[shape]
-        edges = make_edges(np.random.default_rng(7))
-        graph = graph_of(n, np.sort(np.array(edges, np.int64).reshape(-1, 2), axis=1))
-        summary = connected_components(graph)
-        assert summary.sizes_desc.tolist() == bfs_component_sizes(n, graph.edges.tolist())
-        assert summary.isolated_count == isolated_count(graph)
+        _assert_shape_matches_bfs(shape)
+
+    @given(_edge_sets())
+    @example((1, []))
+    @example((300, [(u, u + 1) for u in range(299)][::-1]))
+    def test_random_edge_sets_match_bfs(self, case):
+        n, edges = case
+        assert _labelled_sizes(n, edges) == bfs_component_sizes(n, edges)
 
     def test_consistency_connected_iff_l1_equals_n(self):
         cfg = SizeConfiguration({1: 50})
