@@ -2,6 +2,9 @@
 
 Components are labelled by vectorised hook-and-jump rounds in numpy
 (Shiloach-Vishkin, J. Algorithms 3, 1982), so no per-edge Python loop runs.
+A hook only points a vertex at a smaller one, so each round finds every root
+in one ascending sweep of cache-sized pieces of the parent array, not by
+jumping the whole array until it stops changing (see ``_component_sizes``).
 Tests check the labelling against a BFS oracle.
 """
 
@@ -12,6 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampler import SuperGraph
+
+# Entries of the parent array per piece of the root sweep. Per call on {1: 500000} at
+# sparse c = 1, 2 and 4 (medians of 7, 2 vCPUs), pieces of 2^12 to 2^16 entries took
+# 28-30, 37-39 and 52-57 ms, 2^14 fastest or within 2% of it on each; on {1: 100000}
+# at c = 1.5 they took 4.0-4.8 ms, 2^14 fastest.
+_PIECE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -41,24 +50,49 @@ def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
     Takes raw edge arrays in any order, such as ``kernels.sample_edges``
     returns, and reads them only. Requires 0 <= eu < ev < n elementwise; the
-    kernel guarantees it, as ``SuperGraph`` does for its rows. Each
-    round hooks the larger root of every edge between two trees under the
-    smallest root it meets, pointer-jumps until every vertex points at its
-    root, then maps the edges to their roots and keeps those whose roots
-    differ; it stops when none are left. Every parent starts as itself, so
-    the first round hooks the edges as given. parent[x] <= x always holds,
-    so no cycle can form. A root that still has such an edge is merged
+    kernel guarantees it, as ``SuperGraph`` does for its rows.
+
+    Each round hooks the larger root of every edge between two trees under
+    the smallest root it meets, points every vertex at its root, then maps
+    the edges to their roots and keeps those whose roots differ; it stops
+    when none are left. Every parent starts as itself, so the first round
+    hooks the edges as given. A root that still has such an edge is merged
     within two rounds, so the roots left with one at least halve every two
     rounds: O(log n) rounds.
+
+    A hook only lowers a parent to the smaller end of an edge, so
+    parent[x] <= x always holds: no cycle can form, and every path to a root
+    descends. So one ascending sweep, in pieces of ``_PIECE`` entries, finds
+    every root exactly. When it reaches a piece, every entry before the
+    piece already points at its root, so one gather parent[parent[x]]
+    finishes each x whose parent lies before the piece or is a root. Only
+    the x whose parent is a non-root inside the piece jump on, as a shrinking
+    set, until each points at a root. Their paths stay in the piece until
+    they reach a finished entry, so that takes at most about
+    log2(_PIECE) + 1 small passes per piece, where jumping the whole array
+    until stable took log2(depth) + 1 full passes. The first piece has
+    nothing finished before it, so it jumps whole until stable; a graph of
+    one piece runs only that loop.
     """
     parent = np.arange(n, dtype=np.int64)
     while eu.size:
         np.minimum.at(parent, ev, eu)
+        head = parent[:_PIECE]
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            jumped = head[head]
+            if np.array_equal(jumped, head):
                 break
-            parent = jumped
+            head[...] = jumped
+        for lo in range(_PIECE, n, _PIECE):
+            piece = parent[lo:lo + _PIECE]
+            up = parent[piece]
+            todo = np.flatnonzero((piece >= lo) & (up != piece)) + lo
+            piece[...] = up
+            while todo.size:
+                mid = parent[todo]
+                up = parent[mid]
+                parent[todo] = up
+                todo = todo[up != mid]
         pu, pv = parent[eu], parent[ev]
         cross = np.flatnonzero(pu != pv)
         pu, pv = pu[cross], pv[cross]

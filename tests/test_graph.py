@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bfs_component_sizes
@@ -216,6 +216,31 @@ class TestAgainstBfsOracle:
     @example((1, []))
     @example((300, [(u, u + 1) for u in range(299)][::-1]))
     def test_random_edge_sets_match_bfs(self, case):
+        n, edges = case
+        assert _labelled_sizes(n, edges) == bfs_component_sizes(n, edges)
+
+
+@pytest.fixture(params=[1, 3, 7, 64])
+def small_pieces(request, monkeypatch):
+    """Labelling sweeps the parent array in pieces of this many entries."""
+    monkeypatch.setattr("supergraph.graph._PIECE", request.param)
+    return request.param
+
+
+class TestSmallPieces:
+    """The BFS-oracle checks with the root sweep cut so that every graph spans many pieces."""
+
+    def test_random_graphs_match_bfs(self, small_pieces):
+        _assert_random_graphs_match_bfs()
+
+    @pytest.mark.parametrize("shape", sorted(k for k, (n, _) in SHAPES.items() if n <= SHAPE_N))
+    def test_adversarial_shapes_match_bfs(self, small_pieces, shape):
+        _assert_shape_matches_bfs(shape)
+
+    # the patched piece size holds for every example, so one fixture per test is right
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_edge_sets())
+    def test_random_edge_sets_match_bfs(self, small_pieces, case):
         n, edges = case
         assert _labelled_sizes(n, edges) == bfs_component_sizes(n, edges)
 
