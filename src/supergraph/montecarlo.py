@@ -107,33 +107,34 @@ def _worker_count(plan: ExperimentPlan) -> int:
 def _run_trials(plan: ExperimentPlan, params: ModelParams, degree_cutoff: int | None = None):
     """Sample and analyse all trials, then run the isolated-count guard.
 
-    Each trial is one int64 row: the isolated count, L1, L2, then (given degree_cutoff)
-    its degree counts lumped at the cutoff. The per-trial record {"connected", "isolated",
-    "L1", "L2"} and the degree counts summed over trials (or None) come off the stacked rows.
+    Trial t writes row t of one (trials, width) int64 table: the isolated count, L1, L2,
+    then (given degree_cutoff) its degree counts lumped at the cutoff. Rows are disjoint,
+    so pooled trials share the table. The per-trial record {"connected", "isolated",
+    "L1", "L2"} and the degree counts summed over trials (or None) come off the table.
     """
     n = plan.config.num_super
     _check_num_super(n)  # before any array of N entries exists
     classes = plan.config.size_classes()
+    table = np.empty((plan.trials, 3 if degree_cutoff is None else degree_cutoff + 4), np.int64)
 
-    def one(t: int) -> np.ndarray:
+    def one(t: int) -> None:
         eu, ev = kernels.sample_edges(*classes, params.p, rng.stream_root(plan.seed, t))
         sizes = _component_sizes(n, eu, ev)
         # the largest two sizes, in order, at the end; one component leaves L2 = 0
         top = np.partition(sizes, -2)[-2:] if sizes.shape[0] > 1 else (0, sizes[0])
-        row = np.array([(sizes == 1).sum(), top[1], top[0]], dtype=np.int64)
-        if degree_cutoff is None:
-            return row
-        degree = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
-        return np.concatenate((row, _lump_counts(degree, degree_cutoff)))
+        table[t, :3] = (sizes == 1).sum(), top[1], top[0]
+        if degree_cutoff is not None:
+            degree = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+            table[t, 3:] = _lump_counts(degree, degree_cutoff)
 
     workers = _worker_count(plan)
     if workers == 1:
-        rows = [one(t) for t in range(plan.trials)]
+        for t in range(plan.trials):
+            one(t)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(plan.trials)))
+            list(pool.map(one, range(plan.trials)))  # reading each result re-raises its error
 
-    table = np.array(rows, dtype=np.int64)
     isolated, l1, l2 = np.ascontiguousarray(table[:, :3].T)  # a copy: no view pins the table
     stats = {"connected": (l1 == n).astype(np.int8), "isolated": isolated, "L1": l1, "L2": l2}
     _check_isolated_estimator(plan, params, isolated)
