@@ -82,7 +82,11 @@ def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
             jumped = head[head]
             if np.array_equal(jumped, head):
                 break
-            head[...] = jumped
+            head = jumped
+        if n <= _PIECE:  # one piece: the jumped head is the whole parent array
+            parent = head
+        else:
+            parent[:_PIECE] = head
         for lo in range(_PIECE, n, _PIECE):
             piece = parent[lo:lo + _PIECE]
             up = parent[piece]
