@@ -34,11 +34,12 @@ from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it fr
 # Trials run on a thread pool, one worker per usable CPU and trial, once the mean
 # size class (the side of a typical kernel block) has this many super-vertices;
 # shorter numpy calls do not pay for a second thread. 2-worker speed-up on 2 vCPUs
-# (medians of 7-11 alternated pairs, two sweeps): giant at c = 2 on {1: 5000} x 20
-# trials 0.65-0.68, on {1: 2^14} x 20 0.87-1.02, on {1: 500000} x 3 1.40-1.50; 500
-# connectivity trials on {1: 1000} 0.53-0.54. The 4-trial degree run on the 58-class
-# N = 100k graph (mean 1724, classes far from equal) read 0.87-1.03 while its peak
-# RSS rose from 39.6 to 46-47 MiB, so it keeps one worker.
+# with labelling by piece sweeps (medians of 11 alternated pairs, two sweeps): giant
+# at c = 2 on {1: 5000} x 20 trials 0.57, on {1: 2^14} x 20 0.94-1.07, on
+# {1: 500000} x 3 1.38-1.45; 500 connectivity trials on {1: 1000} 0.44-0.49. The
+# 4-trial degree run on the 58-class N = 100k graph (mean 1724, classes far from
+# equal) read 1.26-1.29, but its peak RSS rose from 39.0 to 44.7-45.6 MiB, so it
+# keeps one worker.
 _POOL_MIN_CLASS_SIZE = 1 << 14
 
 
