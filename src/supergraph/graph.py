@@ -70,7 +70,7 @@ def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     set, until each points at a root. Their paths stay in the piece until
     they reach a finished entry, so that takes at most about
     log2(_PIECE) + 1 small passes per piece, where jumping the whole array
-    until stable took log2(depth) + 1 full passes. The first piece has
+    until it is stable takes log2(depth) + 1 full passes. The first piece has
     nothing finished before it, so it jumps whole until stable; a graph of
     one piece runs only that loop.
     """

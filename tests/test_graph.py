@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -191,6 +193,30 @@ def _assert_shape_matches_bfs(shape):
     assert _labelled_sizes(n, edges) == want
 
 
+class _CountedMinimum:
+    """np.minimum that counts its .at calls: one per hook round of the labelling."""
+
+    def __init__(self):
+        self.at_calls = 0
+
+    def __call__(self, *args):
+        return np.minimum(*args)
+
+    def at(self, *args):
+        self.at_calls += 1
+        return np.minimum.at(*args)
+
+
+def _hook_rounds(monkeypatch, n, edges):
+    """Hook rounds _component_sizes takes on the edges; it sees a numpy whose minimum counts."""
+    counted = _CountedMinimum()
+    numpy = types.ModuleType("numpy")
+    vars(numpy).update(vars(np), minimum=counted)
+    monkeypatch.setattr("supergraph.graph.np", numpy)
+    assert _labelled_sizes(n, edges) == [n]
+    return counted.at_calls
+
+
 class TestAgainstBfsOracle:
     # the lane names the benchmark records from kernels.numba_enabled(); the
     # flag is provenance only, so labels must match BFS whichever it reports
@@ -212,6 +238,11 @@ class TestAgainstBfsOracle:
     def test_adversarial_shapes_match_bfs(self, shape):
         _assert_shape_matches_bfs(shape)
 
+    def test_one_round_labels_a_path_in_order(self, monkeypatch):
+        # the first hook points each vertex at the one before it, a chain of depth N
+        # over three pieces; the sweep must leave every vertex at the root, 0
+        assert _hook_rounds(monkeypatch, BIG_SHAPE_N, _path_in_order(None, BIG_SHAPE_N)) == 1
+
     @given(_edge_sets())
     @example((1, []))
     @example((300, [(u, u + 1) for u in range(299)][::-1]))
@@ -232,6 +263,9 @@ class TestSmallPieces:
 
     def test_random_graphs_match_bfs(self, small_pieces):
         _assert_random_graphs_match_bfs()
+
+    def test_one_round_labels_a_path_in_order(self, small_pieces, monkeypatch):
+        assert _hook_rounds(monkeypatch, BIG_SHAPE_N, _path_in_order(None, BIG_SHAPE_N)) == 1
 
     @pytest.mark.parametrize("shape", sorted(k for k, (n, _) in SHAPES.items() if n <= SHAPE_N))
     def test_adversarial_shapes_match_bfs(self, small_pieces, shape):
