@@ -250,6 +250,18 @@ class TestAgainstBfsOracle:
         n, edges = case
         assert _labelled_sizes(n, edges) == bfs_component_sizes(n, edges)
 
+    def test_consistency_connected_iff_l1_equals_n(self):
+        cfg = SizeConfiguration({1: 50})
+        for t in range(20):
+            graph = sample_direct(cfg, resolve_p("raw", 0.08, cfg), t)
+            summary = connected_components(graph)
+            connected = summary.sizes_desc.shape[0] == 1
+            assert connected == (summary.sizes_desc[0] == graph.num_super)
+            if graph.num_super > 1 and connected:
+                assert summary.isolated_count == 0
+            # the size-1 components must be exactly the degree-0 nodes
+            assert summary.isolated_count == isolated_count(graph)
+
 
 @pytest.fixture(params=[1, 3, 7, 64])
 def small_pieces(request, monkeypatch):
@@ -277,16 +289,3 @@ class TestSmallPieces:
     def test_random_edge_sets_match_bfs(self, small_pieces, case):
         n, edges = case
         assert _labelled_sizes(n, edges) == bfs_component_sizes(n, edges)
-
-    def test_consistency_connected_iff_l1_equals_n(self):
-        cfg = SizeConfiguration({1: 50})
-        for t in range(20):
-            graph = sample_direct(cfg, resolve_p("raw", 0.08, cfg), t)
-            summary = connected_components(graph)
-            connected = summary.sizes_desc.shape[0] == 1
-            assert connected == (summary.sizes_desc[0] == graph.num_super)
-            if graph.num_super > 1 and connected:
-                assert summary.isolated_count == 0
-            # the size-1 components must be exactly the degree-0 nodes
-            assert summary.isolated_count == isolated_count(graph)
-
