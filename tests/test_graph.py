@@ -267,7 +267,6 @@ class TestAgainstBfsOracle:
 def small_pieces(request, monkeypatch):
     """Labelling sweeps the parent array in pieces of this many entries."""
     monkeypatch.setattr("supergraph.graph._PIECE", request.param)
-    return request.param
 
 
 class TestSmallPieces:
