@@ -71,22 +71,20 @@ def _component_sizes(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     they reach a finished entry, so that takes at most about
     log2(_PIECE) + 1 small passes per piece, where jumping the whole array
     until it is stable takes log2(depth) + 1 full passes. The first piece has
-    nothing finished before it, so it jumps whole until stable; a graph of
-    one piece runs only that loop.
+    nothing finished before it, so most of its entries jump on: there it
+    jumps whole, in place, until stable, as a graph of one piece does in
+    full. That takes fewer numpy calls than the shrinking set; sweeping the
+    first piece like the rest made 500 connectivity trials on {1: 1000}
+    about 8% slower and labelling {1: 20000} at c = 2 11-23% slower (2 vCPUs).
     """
     parent = np.arange(n, dtype=np.int64)
     while eu.size:
         np.minimum.at(parent, ev, eu)
         head = parent[:_PIECE]
-        while True:
-            jumped = head[head]
-            if np.array_equal(jumped, head):
-                break
-            head = jumped
-        if n <= _PIECE:  # one piece: the jumped head is the whole parent array
-            parent = head
-        else:
-            parent[:_PIECE] = head
+        up = head[head]
+        while (up != head).any():
+            head[...] = up
+            up = head[head]
         for lo in range(_PIECE, n, _PIECE):
             piece = parent[lo:lo + _PIECE]
             up = parent[piece]
