@@ -2,7 +2,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import bfs_component_sizes
@@ -164,35 +164,6 @@ def _edge_sets(draw):
     return n, draw(st.permutations(rows))
 
 
-def _assert_random_graphs_match_bfs():
-    cfg = SizeConfiguration({1: 120, 2: 40})
-    for c in (0.5, 1.0, 2.0):
-        params = resolve_p("sparse", c, cfg)
-        for t in range(5):
-            root = rng.stream_root(11, t)
-            graph = sample_direct(cfg, params, root)
-            summary = connected_components(graph)
-            want = bfs_component_sizes(graph.num_super, graph.edges.tolist())
-            assert summary.sizes_desc.tolist() == want
-            assert summary.isolated_count == isolated_count(graph)
-            # the kernel's own arrays, in the order it returns them, as trials pass them
-            eu, ev = kernels.sample_edges(*cfg.size_classes(), params.p, root)
-            assert _labelled_sizes(graph.num_super, np.column_stack((eu, ev))) == want
-
-
-def _assert_shape_matches_bfs(shape):
-    n, make_edges = SHAPES[shape]
-    edges = np.sort(np.array(make_edges(np.random.default_rng(7), n), np.int64).reshape(-1, 2),
-                    axis=1)
-    want = bfs_component_sizes(n, edges.tolist())
-    graph = graph_of(n, edges)
-    summary = connected_components(graph)
-    assert summary.sizes_desc.tolist() == want
-    assert summary.isolated_count == isolated_count(graph)
-    # the rows as made, before SuperGraph puts them in canonical order
-    assert _labelled_sizes(n, edges) == want
-
-
 class _CountedMinimum:
     """np.minimum that counts its .at calls: one per hook round of the labelling."""
 
@@ -217,13 +188,44 @@ def _hook_rounds(monkeypatch, n, edges):
     return counted.at_calls
 
 
+# piece sizes the labelling's root sweep is patched to, so that every graph spans
+# many pieces; None keeps the default, under the test's plain id
+PIECES = (None, 1, 3, 7, 64)
+
+
+def _at_pieces(values, default_only=()):
+    """Params (value, piece) for each value at every piece of PIECES, the values in
+    default_only at the default piece alone."""
+    return [pytest.param(v, p, id=v if p is None else f"{v}-{p}")
+            for p in PIECES for v in values if p is None or v not in default_only]
+
+
 class TestAgainstBfsOracle:
+    @pytest.fixture(autouse=True)
+    def piece(self, request, monkeypatch):
+        """Labelling sweeps pieces of this many entries where a test is parametrized over it."""
+        size = getattr(request, "param", None)
+        if size is not None:
+            monkeypatch.setattr("supergraph.graph._PIECE", size)
+
     # the lane names the benchmark records from kernels.numba_enabled(); the
     # flag is provenance only, so labels must match BFS whichever it reports
-    @pytest.mark.parametrize("lane", ["numba", "numpy"])
+    @pytest.mark.parametrize("lane, piece", _at_pieces(["numba", "numpy"]), indirect=["piece"])
     def test_random_graphs_match_bfs(self, monkeypatch, lane):
         monkeypatch.setattr(kernels, "numba_enabled", lambda: lane == "numba")
-        _assert_random_graphs_match_bfs()
+        cfg = SizeConfiguration({1: 120, 2: 40})
+        for c in (0.5, 1.0, 2.0):
+            params = resolve_p("sparse", c, cfg)
+            for t in range(5):
+                root = rng.stream_root(11, t)
+                graph = sample_direct(cfg, params, root)
+                summary = connected_components(graph)
+                want = bfs_component_sizes(graph.num_super, graph.edges.tolist())
+                assert summary.sizes_desc.tolist() == want
+                assert summary.isolated_count == isolated_count(graph)
+                # the kernel's own arrays, in the order it returns them, as trials pass them
+                eu, ev = kernels.sample_edges(*cfg.size_classes(), params.p, root)
+                assert _labelled_sizes(graph.num_super, np.column_stack((eu, ev))) == want
 
     @pytest.mark.parametrize("c", [1.5, 2.0])
     def test_graph_at_scale_matches_bfs(self, c):
@@ -234,15 +236,31 @@ class TestAgainstBfsOracle:
         assert summary.sizes_desc.tolist() == bfs_component_sizes(20000, graph.edges.tolist())
         assert summary.isolated_count == isolated_count(graph)
 
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize(
+        "shape, piece",
+        _at_pieces(sorted(SHAPES), default_only=[k for k, (n, _) in SHAPES.items() if n > SHAPE_N]),
+        indirect=["piece"])
     def test_adversarial_shapes_match_bfs(self, shape):
-        _assert_shape_matches_bfs(shape)
+        n, make_edges = SHAPES[shape]
+        edges = np.sort(np.array(make_edges(np.random.default_rng(7), n), np.int64).reshape(-1, 2),
+                        axis=1)
+        want = bfs_component_sizes(n, edges.tolist())
+        graph = graph_of(n, edges)
+        summary = connected_components(graph)
+        assert summary.sizes_desc.tolist() == want
+        assert summary.isolated_count == isolated_count(graph)
+        # the rows as made, before SuperGraph puts them in canonical order
+        assert _labelled_sizes(n, edges) == want
 
+    @pytest.mark.parametrize("piece", PIECES, indirect=True)
     def test_one_round_labels_a_path_in_order(self, monkeypatch):
         # the first hook points each vertex at the one before it, a chain of depth N
-        # over three pieces; the sweep must leave every vertex at the root, 0
+        # over three default pieces; the sweep must leave every vertex at the root, 0
         assert _hook_rounds(monkeypatch, BIG_SHAPE_N, _path_in_order(None, BIG_SHAPE_N)) == 1
 
+    # the piece fixture is autouse, not an argument, so hypothesis does not flag it;
+    # the patched size holds for every example, as it should
+    @pytest.mark.parametrize("piece", PIECES, indirect=True)
     @given(_edge_sets())
     @example((1, []))
     @example((300, [(u, u + 1) for u in range(299)][::-1]))
@@ -261,30 +279,3 @@ class TestAgainstBfsOracle:
                 assert summary.isolated_count == 0
             # the size-1 components must be exactly the degree-0 nodes
             assert summary.isolated_count == isolated_count(graph)
-
-
-@pytest.fixture(params=[1, 3, 7, 64])
-def small_pieces(request, monkeypatch):
-    """Labelling sweeps the parent array in pieces of this many entries."""
-    monkeypatch.setattr("supergraph.graph._PIECE", request.param)
-
-
-class TestSmallPieces:
-    """The BFS-oracle checks with the root sweep cut so that every graph spans many pieces."""
-
-    def test_random_graphs_match_bfs(self, small_pieces):
-        _assert_random_graphs_match_bfs()
-
-    def test_one_round_labels_a_path_in_order(self, small_pieces, monkeypatch):
-        assert _hook_rounds(monkeypatch, BIG_SHAPE_N, _path_in_order(None, BIG_SHAPE_N)) == 1
-
-    @pytest.mark.parametrize("shape", sorted(k for k, (n, _) in SHAPES.items() if n <= SHAPE_N))
-    def test_adversarial_shapes_match_bfs(self, small_pieces, shape):
-        _assert_shape_matches_bfs(shape)
-
-    # the patched piece size holds for every example, so one fixture per test is right
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(_edge_sets())
-    def test_random_edge_sets_match_bfs(self, small_pieces, case):
-        n, edges = case
-        assert _labelled_sizes(n, edges) == bfs_component_sizes(n, edges)
