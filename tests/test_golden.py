@@ -3,8 +3,8 @@
 The hashes pin exact bytes: the edge arrays of both samplers over a grid of
 configurations, p and seeds and over a 22-class power-law configuration
 (253 blocks, some of them empty), the edge list printed by ``supergraph
-generate`` (on N = 420 and on N = 210,000, whose endpoints reach six
-digits), and the JSON reports of the three experiments with the
+generate`` (on N = 420, on N = 210,000, whose endpoints reach six
+digits, and on N = 1,000,001, whose endpoints reach seven), and the JSON reports of the three experiments with the
 ``wall_time`` line removed (one giant report on N = 20,000, where labelling
 takes several hook rounds, and one degree report on a 34-class power-law
 configuration), and the CSV renderings of the same reports. A refactor of
@@ -97,6 +97,12 @@ WIDE_GENERATE_HASHES = {
     "direct": "55d380a4157aadcc875d543f15314aca8bcad72940a7405fadc14ac92f944168",
     "constructive": "b67e270b568e6225441efb7039442049fd67fcdb64c97f8ed0740499ed3f1e67",
 }
+MILLION_GENERATE_ARGV = ["generate", "--inline", "1x600000,2x400001", "--regime", "sparse",
+                         "--c", "1.5", "--seed", "9"]
+MILLION_GENERATE_HASHES = {
+    "direct": "8c17539f9652864ba0458545cf4ee862697e031ef6ad04f1490457217dd833b1",
+    "constructive": "f3cc9c08803b9e6075bb5d93095f80f03322aed5773884b6e12f17507d236356",
+}
 
 # name -> (experiment, counts, regime, c, trials, seed); "giant_at_scale" takes
 # 4 hook rounds per trial, the last with 1,700-2,600 cross edges, and
@@ -169,6 +175,14 @@ def test_generate_bytes(capsys, sampler):
 def test_generate_bytes_wide_endpoints(capsys, sampler):
     assert cli.main(WIDE_GENERATE_ARGV + ["--sampler", sampler]) == 0
     assert _sha(capsys.readouterr().out.encode()) == WIDE_GENERATE_HASHES[sampler]
+
+
+@pytest.mark.parametrize("sampler", ["direct", "constructive"])
+def test_generate_bytes_seven_digit_endpoints(capsys, sampler):
+    assert cli.main(MILLION_GENERATE_ARGV + ["--sampler", sampler]) == 0
+    out = capsys.readouterr().out
+    assert " 1000000\n" in out
+    assert _sha(out.encode()) == MILLION_GENERATE_HASHES[sampler]
 
 
 @functools.cache

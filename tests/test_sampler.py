@@ -395,3 +395,22 @@ class TestExport:
         buf = io.StringIO()
         write_edge_list(graph, buf)
         assert buf.getvalue() == f"# N={n} sizes=1x{n}\n" + format_edge_lines(rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_chunks_across_3_digit_groups_stitch(self, monkeypatch, chunk_rows):
+        # Chunk j has u = j; its endpoints end at 999, start at 1000, end at
+        # 999,999 or start at 10^6, by j % 4, so neighbouring chunks need one,
+        # two, two and three 3-digit groups. The last row makes a partial
+        # chunk when chunk_rows = 3.
+        n = 1_000_010
+        rows = []
+        for j in range(8):
+            first = (999 - chunk_rows + 1, 1000, 999_999 - chunk_rows + 1, 10 ** 6)[j % 4]
+            rows += [(j, v) for v in range(first, first + chunk_rows)]
+        rows.append((n - 2, n - 1))
+        graph = SuperGraph(sizes=np.ones(n, np.int64), edges=np.array(rows))
+        assert graph.edges.tolist() == [list(r) for r in rows]
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+        buf = io.StringIO()
+        write_edge_list(graph, buf)
+        assert buf.getvalue() == f"# N={n} sizes=1x{n}\n" + format_edge_lines(rows)
