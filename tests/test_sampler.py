@@ -350,6 +350,24 @@ class TestExport:
         write_edge_list(graph, buf)
         assert buf.getvalue() == "# N=10 sizes=1x10\n"
 
+    @pytest.mark.parametrize("entry,word", [
+        (7, b"007\0"),  # zero-padded groups
+        (999, b"999\0"),
+        (1000 + 7, b"\0\0" b"7\0"),  # leading groups
+        (1000 + 42, b"\0" b"42\0"),
+        (1000 + 123, b"123\0"),
+        (1000, b"\0\0\0\0"),  # the group above the leading one
+        (2000 + 42, b"042 "),  # " " after u
+        (4000 + 5, b"005\n"),  # "\n" after v
+        (2000 + 1000, b"\0\0" b"0 "),  # the group 0 as an endpoint's only group
+        (4000 + 1000, b"\0\0" b"0\n"),
+        (4000 + 1999, b"999\n"),
+    ])
+    def test_word_table_bytes(self, entry, word):
+        table = sampler._WORDS.view(np.uint8).reshape(-1, 4)
+        assert table.shape == (6000, 4)
+        assert table[entry].tobytes() == word
+
     def test_formats_every_digit_boundary(self):
         rows = np.array(DIGIT_BOUNDARIES + [0, sampler._MAX_SUPER - 1], np.int64).reshape(-1, 2)
         assert sampler._format_rows(rows) == format_edge_lines(rows.tolist())
