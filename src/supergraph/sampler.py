@@ -218,15 +218,15 @@ def _format_rows(rows: np.ndarray) -> str:
     group that the largest endpoint needs, highest first; the lowest carries
     " " after u or "\n" after v. One translate deletes the NUL padding.
     """
-    x = rows.astype(np.uint32).ravel()  # exact: endpoints lie below _MAX_SUPER < 2^32
-    width = (len(str(x.max())) + 2) // 3  # 3-digit groups in the largest endpoint
-    index = np.empty((x.size, width), np.uint32)
-    high = x
-    for col in range(width - 1, -1, -1):  # lowest group first
+    high = rows.astype(np.uint32).ravel()  # exact: endpoints lie below _MAX_SUPER < 2^32
+    width = (len(str(high.max())) + 2) // 3  # 3-digit groups in the largest endpoint
+    index = np.empty((high.size, width), np.uint32)
+    for col in range(width - 1, 0, -1):  # lowest group first
         rest = high // np.uint32(1000)
         leading = (rest == 0).view(np.uint8)  # the leading group or one above it
         index[:, col] = high - rest * np.uint32(1000) + np.uint32(1000) * leading
         high = rest
+    index[:, 0] = high + np.uint32(1000)  # width makes every top group leading or above
     index[0::2, -1] += np.uint32(2000)  # " " after u
     index[1::2, -1] += np.uint32(4000)  # "\n" after v
     return _WORDS.take(index).tobytes().translate(None, b"\0").decode("ascii")
