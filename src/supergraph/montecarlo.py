@@ -38,8 +38,8 @@ from .theory import TAIL_LUMP  # noqa: F401  (perfbench/tracing.py imports it fr
 # at c = 2 on {1: 5000} x 20 trials 0.57, on {1: 2^14} x 20 0.94-1.07, on
 # {1: 500000} x 3 1.38-1.45; 500 connectivity trials on {1: 1000} 0.44-0.49. The
 # 4-trial degree run on the 58-class N = 100k graph (mean 1724, classes far from
-# equal) read 1.26-1.29, but its peak RSS rose from 39.0 to 44.7-45.6 MiB, so it
-# keeps one worker.
+# equal) read 1.30-1.35, 1.17-1.24 with its predicts (41 alternated pairs, two sets),
+# but its peak RSS rose from 40.1 to 45.7-46.4 MiB, so it keeps one worker.
 _POOL_MIN_CLASS_SIZE = 1 << 14
 
 

@@ -182,7 +182,7 @@ def sample_constructive(config: SizeConfiguration, params: ModelParams, seed: in
 
 
 # 2^13 rows keep a chunk's index, words and text in L2. Writing 749,545 edges took
-# 39.5-44.5 ms at 2^13 and 41.3-45.5 ms at 2^14 to 2^16 (medians of 15, two sets).
+# 35-37 ms at 2^13 to 2^15, 37-39 ms at 2^16 and 39 ms at 2^12 (medians of 15, 2 sets).
 _CHUNK_ROWS = 1 << 13
 
 
@@ -226,7 +226,7 @@ def _format_rows(rows: np.ndarray) -> str:
         leading = (rest == 0).view(np.uint8)  # the leading group or one above it
         index[:, col] = high - rest * np.uint32(1000) + np.uint32(1000) * leading
         high = rest
-    index[:, 0] = high + np.uint32(1000)  # width makes every top group leading or above
+    index[:, 0] = high + np.uint32(1000)  # below 1000 by the width: leading or above it
     index[0::2, -1] += np.uint32(2000)  # " " after u
     index[1::2, -1] += np.uint32(4000)  # "\n" after v
     return _WORDS.take(index).tobytes().translate(None, b"\0").decode("ascii")

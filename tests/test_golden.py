@@ -4,12 +4,12 @@ The hashes pin exact bytes: the edge arrays of both samplers over a grid of
 configurations, p and seeds and over a 22-class power-law configuration
 (253 blocks, some of them empty), the edge list printed by ``supergraph
 generate`` (on N = 420, on N = 210,000, whose endpoints reach six
-digits, and on N = 1,000,001, whose endpoints reach seven), and the JSON reports of the three experiments with the
-``wall_time`` line removed (one giant report on N = 20,000, where labelling
-takes several hook rounds, and one degree report on a 34-class power-law
-configuration), and the CSV renderings of the same reports. A refactor of
-the kernels, the component labelling or the theory must leave all of them
-unchanged.
+digits, and on N = 1,000,001, whose endpoints reach seven), and the JSON
+reports of the three experiments with the ``wall_time`` line removed (one
+giant report on N = 20,000, where labelling takes several hook rounds, and
+one degree report on a 34-class power-law configuration), and the CSV
+renderings of the same reports. A refactor of the kernels, the component
+labelling or the theory must leave all of them unchanged.
 """
 
 import functools

@@ -397,34 +397,17 @@ class TestExport:
 
     @pytest.mark.parametrize("chunk_rows", [1, 3])
     def test_chunks_of_different_widths_stitch(self, monkeypatch, chunk_rows):
-        # Chunk j has u = j; its endpoints all lie below 10^4 (4 digits at
-        # most) for even j and reach past it (5 digits) for odd j, so
-        # neighbouring chunks format with different field widths. The last
-        # row makes a partial chunk when chunk_rows = 3.
-        n = 20_000
-        rows = []
-        for j in range(8):
-            first = 9999 - chunk_rows + 1 if j % 2 == 0 else 10_000
-            rows += [(j, v) for v in range(first, first + chunk_rows)]
-        rows.append((n - 2, n - 1))
-        graph = SuperGraph(sizes=np.ones(n, np.int64), edges=np.array(rows))
-        assert graph.edges.tolist() == [list(r) for r in rows]
-        monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
-        buf = io.StringIO()
-        write_edge_list(graph, buf)
-        assert buf.getvalue() == f"# N={n} sizes=1x{n}\n" + format_edge_lines(rows)
-
-    @pytest.mark.parametrize("chunk_rows", [1, 3])
-    def test_chunks_across_3_digit_groups_stitch(self, monkeypatch, chunk_rows):
-        # Chunk j has u = j; its endpoints end at 999, start at 1000, end at
-        # 999,999 or start at 10^6, by j % 4, so neighbouring chunks need one,
-        # two, two and three 3-digit groups. The last row makes a partial
-        # chunk when chunk_rows = 3.
+        # Chunk j has u = j; its endpoints end at 999, 9999 or 999,999, or
+        # start at 1000, 10^4 or 10^6, so neighbouring chunks format with one,
+        # three, one, two, two, three, two and two 3-digit groups, across
+        # 10^3, 10^4 and 10^6. The last row makes a partial chunk when
+        # chunk_rows = 3.
         n = 1_000_010
-        rows = []
-        for j in range(8):
-            first = (999 - chunk_rows + 1, 1000, 999_999 - chunk_rows + 1, 10 ** 6)[j % 4]
-            rows += [(j, v) for v in range(first, first + chunk_rows)]
+        last = 1 - chunk_rows
+        firsts = [999 + last, 10 ** 6, 999 + last, 1000, 999_999 + last, 10 ** 6,
+                  9999 + last, 10_000]
+        rows = [(j, v) for j, first in enumerate(firsts)
+                for v in range(first, first + chunk_rows)]
         rows.append((n - 2, n - 1))
         graph = SuperGraph(sizes=np.ones(n, np.int64), edges=np.array(rows))
         assert graph.edges.tolist() == [list(r) for r in rows]
