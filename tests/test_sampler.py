@@ -272,6 +272,52 @@ class TestSuperGraphType:
         g = SuperGraph(sizes=np.ones(4, np.int64), edges=np.array(edges))
         assert g.edges.tolist() == edges[::-1]
 
+    @pytest.mark.parametrize("edges", [[[2, 3], [0, 1], [1, 3]], [[0, 1], [1, 3], [2, 3]]],
+                             ids=["shuffled", "sorted"])
+    def test_leaves_the_callers_edges_alone(self, edges):
+        edges = np.array(edges, np.int64)
+        before = edges.copy()
+        g = SuperGraph(sizes=np.ones(4, np.int64), edges=edges)
+        assert np.array_equal(edges, before) and edges.flags.writeable
+        assert not np.shares_memory(g.edges, edges)
+        assert g.edges.tolist() == [[0, 1], [1, 3], [2, 3]]
+
+    def test_accepts_read_only_edges(self):
+        edges = np.array([[2, 3], [0, 1]], np.int64)
+        edges.setflags(write=False)
+        g = SuperGraph(sizes=np.ones(4, np.int64), edges=edges)
+        assert g.edges.tolist() == [[0, 1], [2, 3]]
+        assert edges.tolist() == [[2, 3], [0, 1]]
+
+    def test_rows_at_the_top_endpoints(self):
+        # keys up to N^2 - 1 > 2^42: rows at N - 2 and N - 1 decode back exactly
+        n = 2 ** 21 + 1
+        rows = [(0, 1), (0, n - 2), (0, n - 1), (1, n - 1), (n // 2, n // 2 + 1),
+                (n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)]
+        shuffled = np.random.default_rng(5).permutation(np.array(rows, np.int64))
+        g = SuperGraph(sizes=np.ones(n, np.int64), edges=shuffled)
+        assert list(map(tuple, g.edges.tolist())) == sorted(rows)
+
+    @pytest.mark.parametrize("round_draws", [None, 64], ids=["default_rounds", "rounds_of_64"])
+    @pytest.mark.parametrize("sample", [sample_direct, sample_constructive])
+    def test_sampled_rows_match_a_lexsort_of_the_kernel(self, monkeypatch, sample, round_draws):
+        # six blocks, cut into many rounds at 64 draws: the kernel's rows come
+        # out in many runs, and the graph holds them in lexicographic order
+        if round_draws is not None:
+            monkeypatch.setattr(kernels, "_ROUND_DRAWS", round_draws)
+        kernels._plan.cache_clear()
+        try:
+            cfg = SizeConfiguration({1: 3000, 2: 2000, 3: 1000})
+            params = resolve_p("sparse", 2.0, cfg)
+            eu, ev = kernels.sample_edges(*cfg.size_classes(), params.p, 17,
+                                          constructive=sample is sample_constructive)
+            g = sample(cfg, params, 17)
+        finally:
+            kernels._plan.cache_clear()
+        assert (np.diff(eu) < 0).any()  # not already sorted
+        order = np.lexsort((ev, eu))
+        assert np.array_equal(g.edges, np.column_stack((eu[order], ev[order])))
+
     def test_rejects_n_beyond_the_int64_key(self, monkeypatch):
         assert sampler._MAX_SUPER == math.isqrt(2 ** 63 - 1)
         # the real limit needs a 3e9-entry sizes vector; a lowered one runs the same check
