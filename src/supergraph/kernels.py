@@ -306,6 +306,7 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
     """Sample one realization's edge arrays (u, v), every block of <= 2^53 positions.
 
     The arrays hold each round's edges in turn; ``SuperGraph`` owns their order.
+    Several rounds are joined into one (2, m) array, which unpacks as (u, v).
     """
     plan = _plan(tuple(zip(class_sizes.tolist(), class_counts.tolist(), class_offsets.tolist())),
                  float(p), bool(constructive))
@@ -333,7 +334,7 @@ def sample_edges(class_sizes, class_counts, class_offsets, p, seed, constructive
             draw = np.concatenate((draw, sched.draw[short] + sched.batch[short]))
     if len(done) == 1:
         return done[0]
-    return np.concatenate([u for u, _ in done]), np.concatenate([v for _, v in done])
+    return np.concatenate([u for u, _ in done] + [v for _, v in done]).reshape(2, -1)
 
 
 def numba_enabled() -> bool:

@@ -73,29 +73,22 @@ def resolve_p(regime: str, c: float, config: SizeConfiguration) -> ModelParams:
 
 
 def _int64_array(values, name: str) -> np.ndarray:
-    """values as a contiguous int64 array; a float or bool one would be silently
-    cast, and an unsigned value past the int64 maximum would wrap negative."""
+    """values as an int64 array, in their own memory layout. A float or bool one would
+    be silently cast, and an unsigned value past the int64 maximum would wrap negative;
+    numpy promotes a list holding an integer outside int64 to float64 or object."""
     array = np.asarray(values)
-    if array.size:
-        if array.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
-            if not isinstance(values, np.ndarray):
-                _check_int64_range(values, name)
-            raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
-        if array.dtype.kind == "u" and array.max() > _INT64_MAX:
-            raise ValueError(f"{name} must lie in the int64 range, at most 2^63 - 1, "
-                             f"got {array.max()}")
-    return np.ascontiguousarray(array, np.int64)
-
-
-def _check_int64_range(values, name: str) -> None:
-    """Raise the range error for integers that numpy promoted to float64 or
-    object because one of them lies outside int64."""
-    items = np.asarray(values, dtype=object).ravel().tolist()
-    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in items):
-        outside = [x for x in map(int, items) if not -_INT64_MAX - 1 <= x <= _INT64_MAX]
-        if outside:
-            raise ValueError(f"{name} must lie in the int64 range, -2^63 to 2^63 - 1, "
-                             f"got {outside[0]}")
+    if array.size and array.dtype.kind not in "iu":  # signed, unsigned; not bool ("b")
+        items = [] if isinstance(values, np.ndarray) else np.asarray(values, object).ravel().tolist()
+        if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in items):
+            outside = [x for x in map(int, items) if not -_INT64_MAX - 1 <= x <= _INT64_MAX]
+            if outside:
+                raise ValueError(f"{name} must lie in the int64 range, -2^63 to 2^63 - 1, "
+                                 f"got {outside[0]}")
+        raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+    if array.size and array.dtype.kind == "u" and array.max() > _INT64_MAX:
+        raise ValueError(f"{name} must lie in the int64 range, at most 2^63 - 1, "
+                         f"got {array.max()}")
+    return np.asarray(array, np.int64)
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,11 @@ class SuperGraph:
     """A sampled realization: per-node sizes and a canonical edge array.
 
     ``edges`` has shape (m, 2) with u < v per row, rows sorted
-    lexicographically, no duplicates, no self loops. Rows may come in any
-    order; one stable sort by the int64 key u*N + v ranks them, so N may not
-    exceed 3_037_000_499 (N*N < 2^63). Both arrays take any integer dtype;
-    a non-empty float or bool one raises. Arrays are marked read-only;
+    lexicographically, no duplicates, no self loops. Rows in any order and
+    layout give int64 keys u*N + v, sorted in place and decoded into a fresh
+    array, so N may not exceed 3_037_000_499 (N*N < 2^63). Any integer dtype
+    is taken; a non-empty float or bool array, non-empty ``edges`` not of shape
+    (m, 2) or ``sizes`` not 1-D raises. Arrays are marked read-only;
     instances are safe to share between threads.
     """
 
@@ -115,21 +109,26 @@ class SuperGraph:
 
     def __post_init__(self):
         sizes = _int64_array(self.sizes, "sizes")
-        edges = _int64_array(self.edges, "edges").reshape(-1, 2)
+        edges = _int64_array(self.edges, "edges")
+        if sizes.ndim != 1:
+            raise ValueError(f"sizes must be 1-D, got shape {sizes.shape}")
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must have shape (m, 2), got shape {edges.shape}")
         n = sizes.shape[0]
         if n < 1 or (sizes < 1).any():
             raise ValueError("sizes must be a nonempty vector of integers >= 1")
         _check_num_super(n)
-        if edges.shape[0]:
-            if (edges[:, 0] >= edges[:, 1]).any():
-                raise ValueError("edges must satisfy u < v (no self loops)")
-            if edges[:, 0].min() < 0 or edges[:, 1].max() >= n:
-                raise ValueError("edge endpoints out of range")
-            key = edges[:, 0] * n + edges[:, 1]
-            order = np.argsort(key, kind="stable")
-            if (np.diff(key[order]) == 0).any():
-                raise ValueError("duplicate edges")
-            edges = edges[order]
+        u, v = edges.reshape(-1, 2).T  # no rows if empty, of any shape
+        if (u >= v).any():
+            raise ValueError("edges must satisfy u < v (no self loops)")
+        if u.size and (u.min() < 0 or v.max() >= n):
+            raise ValueError("edge endpoints out of range")
+        key = u * n + v
+        key.sort(kind="stable")  # timsort: the kernel's rows come in a few ascending runs
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("duplicate edges")
+        edges = np.empty((key.shape[0], 2), np.int64)
+        np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))  # exact: 0 <= v < n
         sizes.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
@@ -164,11 +163,9 @@ def _check_num_super(n: int) -> None:
 
 def _build(config: SizeConfiguration, p: float, seed: int, constructive: bool) -> SuperGraph:
     _check_num_super(config.num_super)  # before any array of N entries or past int64 exists
-    class_sizes, class_counts, class_offsets = config.size_classes()
-    eu, ev = kernels.sample_edges(class_sizes, class_counts, class_offsets, p, seed,
-                                  constructive=constructive)
-    sizes = np.repeat(class_sizes, class_counts)
-    return SuperGraph(sizes=sizes, edges=np.column_stack((eu, ev)))
+    classes = config.size_classes()
+    uv = np.asarray(kernels.sample_edges(*classes, p, seed, constructive=constructive))  # (2, m)
+    return SuperGraph(sizes=np.repeat(*classes[:2]), edges=uv.T)
 
 
 def sample_direct(config: SizeConfiguration, params: ModelParams, seed: int) -> SuperGraph:
@@ -238,8 +235,10 @@ def write_edge_list(graph: SuperGraph, out: TextIO) -> None:
     The edges go out _CHUNK_ROWS rows at a time, each chunk formatted by
     _format_rows with no per-edge Python loop.
     """
-    sizes, counts = np.unique(graph.sizes, return_counts=True)
-    spec = ",".join(f"{int(i)}x{int(k)}" for i, k in zip(sizes, counts))
+    sizes = graph.sizes  # non-decreasing in a sampled graph; a caller's may not be
+    sizes = np.sort(sizes) if (sizes[1:] < sizes[:-1]).any() else sizes
+    ends = np.flatnonzero(np.append(sizes[1:] != sizes[:-1], True)).tolist()  # each run's last
+    spec = ",".join(f"{sizes[e]}x{e - s}" for s, e in zip([-1, *ends], ends))
     out.write(f"# N={graph.num_super} sizes={spec}\n")
     edges = graph.edges
     for start in range(0, edges.shape[0], _CHUNK_ROWS):

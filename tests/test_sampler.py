@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,38 @@ class TestSuperGraphType:
         order = np.lexsort((ev, eu))
         assert np.array_equal(g.edges, np.column_stack((eu[order], ev[order])))
 
+    @pytest.mark.parametrize("sizes,edges,message", [
+        (np.ones(8, np.int64), [[0, 1, 2, 3], [4, 5, 6, 7]], r"edges .* got shape \(2, 4\)"),
+        (np.ones(3, np.int64), [0, 1, 2], r"edges .* got shape \(3,\)"),
+        (np.ones(3, np.int64), [0, 1], r"edges .* got shape \(2,\)"),
+        (np.ones(3, np.int64), [[0, 1, 2]], r"edges .* got shape \(1, 3\)"),
+        (np.ones(3, np.int64), [[[0, 1]]], r"edges .* got shape \(1, 1, 2\)"),
+        (np.ones((2, 2), np.int64), [], r"sizes must be 1-D, got shape \(2, 2\)"),
+        (np.int64(3), [], r"sizes must be 1-D, got shape \(\)"),
+    ], ids=["transposed_edges", "odd_flat_edges", "flat_pair", "three_columns", "three_axes",
+            "sizes_2d", "sizes_scalar"])
+    def test_rejects_misshapen_arrays(self, sizes, edges, message):
+        # a reshape would read a transposed edge list as other rows, and 2-D
+        # sizes would build a graph whose num_vertices fails
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SuperGraph(sizes=sizes, edges=np.array(edges, np.int64))
+
+    def test_constructor_allocates_under_1_6x_its_input(self):
+        # the key (8 bytes a row) and the decoded rows (16) are 1.5x the input;
+        # one more gather or key temporary passes 1.6x
+        m = 300_000
+        u = np.arange(m, dtype=np.int64)
+        rows = np.column_stack((u, u + 1 + u * 7919 % 1000))
+        sizes, edges = np.ones(m + 1000, np.int64), np.random.default_rng(3).permutation(rows)
+        tracemalloc.start()
+        try:
+            g = SuperGraph(sizes=sizes, edges=edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(g.edges, rows)
+        assert peak <= 1.6 * edges.nbytes + 2 ** 20, peak / edges.nbytes
+
     def test_rejects_n_beyond_the_int64_key(self, monkeypatch):
         assert sampler._MAX_SUPER == math.isqrt(2 ** 63 - 1)
         # the real limit needs a 3e9-entry sizes vector; a lowered one runs the same check
@@ -388,6 +421,16 @@ class TestExport:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# N=3 sizes=1x2,3x1"
         assert lines[1:] == ["0 1", "0 2", "1 2"]
+
+    @pytest.mark.parametrize("sizes,spec", [
+        ([1], "1x1"), ([2, 2, 2], "2x3"), ([1, 1, 3, 7, 7, 7], "1x2,3x1,7x3"),
+        ([3, 1, 2, 1, 3], "1x2,2x1,3x2"), ([2**40, 5, 2**40], "5x1,1099511627776x2"),
+    ], ids=["one", "one_run", "sorted_runs", "unsorted", "unsorted_past_int32"])
+    def test_header_counts_each_size(self, sizes, spec):
+        # a sampled graph's sizes are non-decreasing; a caller's may come in any order
+        buf = io.StringIO()
+        write_edge_list(SuperGraph(sizes=sizes, edges=[]), buf)
+        assert buf.getvalue() == f"# N={len(sizes)} sizes={spec}\n"
 
     def test_empty_graph_export(self):
         cfg = SizeConfiguration({1: 10})
