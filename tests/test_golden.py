@@ -8,7 +8,10 @@ digits, and on N = 1,000,001, whose endpoints reach seven), and the JSON
 reports of the three experiments with the ``wall_time`` line removed (one
 giant report on N = 20,000, where labelling takes several hook rounds, and
 one degree report on a 34-class power-law configuration), and the CSV
-renderings of the same reports. A refactor of the kernels, the component
+renderings of the same reports, and the JSON that ``supergraph predict``
+prints: near c* on a two-class configuration, on a 300-size power-law
+configuration read with ``--config``, at c = 0 in the connectivity regime
+and on a single super-vertex. A refactor of the kernels, the component
 labelling or the theory must leave all of them unchanged.
 """
 
@@ -20,9 +23,11 @@ import pytest
 
 from supergraph import cli
 from supergraph.cli import render_report
-from supergraph.config import SizeConfiguration, power_law_configuration
+from supergraph.config import (SizeConfiguration, empirical_profile, parse_inline,
+                               power_law_configuration, serialize_configuration)
 from supergraph.montecarlo import ExperimentPlan, run_experiment
 from supergraph.sampler import resolve_p, sample_constructive, sample_direct
+from supergraph.theory import critical_threshold
 
 EDGE_GRID = [
     ({1: 200}, 0.01),
@@ -131,6 +136,25 @@ CSV_REPORT_HASHES = {
     "giant_at_scale": "defdfd18910146571c9bd68d6b98040e47d038d38b07d8ed1909993cba540d43",
 }
 
+# name -> (inline spec, regime, c); a None spec is power_law_configuration(100000, 2.0, 300),
+# passed by --config, and a None c is c* (1 + 10^-2), where rho and the degree pmf are steep
+PREDICT_CASES = {
+    "near_c_star": ("1x50000,2x50000", "sparse", None),
+    "power_law": (None, "sparse", 1.0),
+    "connectivity_c0": ("1x1000", "connectivity", 0.0),
+    "single_raw": ("1x1", "raw", 0.5),
+}
+PREDICT_HASHES = {
+    "connectivity_c0":
+        "672afb6956b478bf19e7a27b436561e42fc5db802b144ff70e2f71aa4d02e864",
+    "near_c_star":
+        "f59a198af201f0165653365ca8c109bec54843f8eed3bf889a181dbd9f779e86",
+    "power_law":
+        "9dffcefd5759e34ddddc3dbdde1ab393dc85b675bb2c03593c616d0a086f7cb1",
+    "single_raw":
+        "2e30c950e69c5c408ab7c01f2dd7b86a9487cae967786188b750c5bfd0a0b91a",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -203,3 +227,18 @@ def test_report_without_wall_time(name):
 @pytest.mark.parametrize("name", sorted(REPORT_PLANS))
 def test_csv_report(name):
     assert _sha(render_report(_report(name), "csv").encode()) == CSV_REPORT_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(PREDICT_CASES))
+def test_predict_bytes(capsys, tmp_path, name):
+    spec, regime, c = PREDICT_CASES[name]
+    if spec is None:
+        path = tmp_path / "power_law.json"
+        path.write_text(serialize_configuration(power_law_configuration(100_000, 2.0, 300)))
+        source = ["--config", str(path)]
+    else:
+        source = ["--inline", spec]
+    if c is None:
+        c = critical_threshold(empirical_profile(parse_inline(spec))) * (1 + 1e-2)
+    assert cli.main(["predict", *source, "--regime", regime, f"--c={c!r}"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == PREDICT_HASHES[name]
