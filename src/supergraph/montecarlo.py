@@ -21,7 +21,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -114,7 +113,6 @@ def _run_trials(plan: ExperimentPlan, params: ModelParams, degree_cutoff: int | 
     "L1", "L2"} and the degree counts summed over trials (or None) come off the table.
     """
     n = plan.config.num_super
-    _check_num_super(n)  # before any array of N entries exists
     classes = plan.config.size_classes()
     table = np.empty((plan.trials, 3 if degree_cutoff is None else degree_cutoff + 4), np.int64)
 
@@ -196,14 +194,13 @@ def _connectivity(plan: ExperimentPlan, params: ModelParams, profile: LimitProfi
     """
     cfg = plan.config
     n_super = cfg.num_super
-    trial_stats, _ = _run_trials(plan, params)
-    isolated = trial_stats["isolated"]
-
     # equivalent connectivity-regime constant for the resolved p
     c_conn = params.p * n_super - math.log(n_super)
     expected = theory.expected_isolated(cfg, params.p)
+    poisson_ref = dict(enumerate(theory.isolated_pmf(expected)))  # fails before any trial
+    trial_stats, _ = _run_trials(plan, params)
+    isolated = trial_stats["isolated"]
 
-    poisson_ref = dict(enumerate(theory.lumped_pmf(partial(theory.poisson_pmf, expected))))
     cutoff = max(poisson_ref)
     weight = 1.0 / plan.trials
     empirical = {k: float(c) * weight for k, c in enumerate(_lump_counts(isolated, cutoff))}
@@ -256,12 +253,7 @@ def _degree(plan: ExperimentPlan, params: ModelParams, profile: LimitProfile):
     empirical = totals * (1.0 / (plan.trials * plan.config.num_super))
     # cumsum adds in order, so the tail at k sums the bins from the cutoff down to k
     tail_emp = np.minimum(np.cumsum(empirical[::-1])[::-1], 1.0)
-    # tail_mass(head[:k]) for every k from one exact running sum: each value is an
-    # integer multiple of 2^-1074, and int / int rounds once, as fsum does
-    scale, total, tail_theory = 1 << 1074, 0, [theory.tail_mass([])]
-    for num, den in map(float.as_integer_ratio, head):
-        total += num * scale // den
-        tail_theory.append(theory.tail_mass([total / scale]))
+    tail_theory = theory.tail_masses(head)
     pmf_theory = dict(enumerate(head + tail_theory[-1:]))
     hist = dict(enumerate(empirical.tolist()))
 
@@ -288,8 +280,10 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     start = time.perf_counter()
     params = plan.params()
     cfg = plan.config
+    profile = empirical_profile(cfg)
+    _check_num_super(cfg.num_super)  # before any reference law or array of N entries
     estimates, theory_block, distributions, trial_stats = EXPERIMENTS[plan.experiment](
-        plan, params, empirical_profile(cfg))
+        plan, params, profile)
     meta = {
         "experiment": plan.experiment,
         "N": cfg.num_super,

@@ -26,9 +26,9 @@ Limits as N grows:
 * degree law at p = c/n: Z_k/N -> P(Xi = k) with Xi mixed Poisson,
   P(Xi = k) = sum_i mu_i P(Po(i c) = k).
 
-Reference laws on the integers are truncated in one place, ``lumped_pmf``:
-at the first k where the pmf head leaves a tail below TAIL_LUMP, with that
-tail lumped into the last entry.
+Both reference laws, the degree law and Po(E[X]) for the isolated count X, are
+Poisson mixtures with one evaluator, one truncation ``lumped_pmf`` (at the first k
+whose tail is below TAIL_LUMP, lumped into the last entry) and one tail sum.
 
 Everything here is a pure function; safe for concurrent use.
 """
@@ -212,57 +212,70 @@ def poisson_pmf(lam: float, k: int) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
-def _mixed_poisson(profile: LimitProfile, c: float) -> Callable[[int], float]:
-    """k -> P(Xi = k) for k >= 0: the one evaluator of the limiting degree law.
+def _mixture(classes) -> Callable[[int], float]:
+    """k -> sum of w P(Po(lam) = k) over the (w, lam) classes, for k >= 0.
 
-    Each class's (mu_i, i c, log(i c)) is computed once, and lgamma(k + 1)
-    once per call, so a head of K terms over C classes costs K lgamma calls
-    instead of K*C. Every term is the float ``poisson_pmf(i c, k)`` computes,
-    summed by the same fsum. Raises ValueError, as ``poisson_pmf`` does, when
-    a class rate i c overflows to inf.
+    Each log(lam) is taken once and lgamma(k + 1) once per k; every term is the float
+    w * ``poisson_pmf(lam, k)``, summed by one fsum. Raises ValueError, as ``poisson_pmf``
+    does, for a rate that is negative or not finite (a rate i c past the float range).
     """
-    _check_c(c)
-    if c == 0.0:  # every rate is 0: each class puts all its mass on k = 0
-        p0 = math.fsum(profile.mu.values())
-        return lambda k: p0 if k == 0 else 0.0
-    classes = []
-    for i, m in profile.mu.items():
-        lam = i * c
-        if lam == math.inf:
+    terms = []
+    for w, lam in classes:
+        if not math.isfinite(lam) or lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        classes.append((m, lam, math.log(lam)))
+        terms.append((w, lam, math.log(lam) if lam else -math.inf))
 
     def pmf(k: int) -> float:
         lg = math.lgamma(k + 1)
-        return math.fsum(m * math.exp(k * log_lam - lam - lg) for m, lam, log_lam in classes)
+        # k log(lam) is 0 at k = 0, even for log(0) = -inf: a rate-0 class puts its weight there
+        return math.fsum(w * math.exp((k * log_lam if k else 0.0) - lam - lg)
+                         for w, lam, log_lam in terms)
 
     return pmf
 
 
+def _degree_classes(profile: LimitProfile, c: float) -> dict[str, tuple[float, float]]:
+    """The degree law's classes (mu_i, i c), each labelled for ``lumped_pmf``'s guard."""
+    _check_c(c)
+    return {f"degree law of size {i} at rate i*c": (m, i * c) for i, m in profile.mu.items()}
+
+
 def mixed_poisson_pmf(profile: LimitProfile, c: float, k: int) -> float:
     """Limiting degree law: P(Xi = k) = sum_i mu_i P(Po(i c) = k)."""
-    pmf = _mixed_poisson(profile, c)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return pmf(k)
+    return _mixture(_degree_classes(profile, c).values())(k)
 
 
-def tail_mass(head: list[float]) -> float:
-    """P(X >= k) from head = [P(X = 0), ..., P(X = k-1)], clamped to [0, 1]."""
-    return min(1.0, max(0.0, 1.0 - math.fsum(head)))
+def tail_masses(head: list[float]) -> list[float]:
+    """[P(X >= k) for k = 0, ..., K], clamped to [0, 1], from head = [P(X = 0), ..., P(X = K-1)]."""
+    ratios = [x.as_integer_ratio() for x in head]
+    scale = max((den for _, den in ratios), default=1)  # each den is a power of 2
+    total, tails = 0, [1.0]
+    for num, den in ratios:
+        total += num * (scale // den)  # exact; total / scale rounds once, as fsum does
+        tails.append(min(1.0, max(0.0, 1.0 - total / scale)))
+    return tails
 
 
-def lumped_pmf(pmf: Callable[[int], float], tail_below: float = TAIL_LUMP) -> list[float]:
-    """[pmf(0), ..., pmf(K-1), P(X >= K)] for the first K where the head leaves
-    a tail below tail_below.
+def lumped_pmf(classes: dict[str, tuple[float, float]],
+               tail_below: float = TAIL_LUMP) -> list[float]:
+    """[pmf(0), ..., pmf(K-1), P(X >= K)] of the mixture over classes, a label -> (weight,
+    rate) map, for the first K where the naive running total leaves a tail below tail_below.
 
-    The stop rule tests the naive running total of the head; the lumped last
-    entry is ``tail_mass`` of the head.
+    A Poisson median is at least its rate minus ln 2, and past a rate of 10^5 no value
+    has probability 0.01, so a class of rate >= 10^6 - 1 keeps a tail above weight / 4
+    past a head of 10^6 terms; when that is at least tail_below, a ValueError names the
+    class's label and rate before any term is walked.
     """
     if not 0.0 < tail_below < 1.0:
         raise ValueError(f"tail_below must lie in (0, 1), got {tail_below!r}")
-    head: list[float] = []
-    total = 0.0
+    pmf = _mixture(classes.values())
+    for label, (w, lam) in classes.items():
+        if lam >= _HEAD_TERMS - 1 and w / 4 >= tail_below:
+            raise ValueError(f"{label} = {lam:.6g}: a pmf head of 10^6 terms leaves a tail "
+                             f"> {w / 4:.3g}, not below {tail_below!r}")
+    head, total = [], 0.0
     while 1.0 - total >= tail_below:
         value = pmf(len(head))
         head.append(value)
@@ -270,31 +283,23 @@ def lumped_pmf(pmf: Callable[[int], float], tail_below: float = TAIL_LUMP) -> li
         if len(head) > _HEAD_TERMS:  # a tail_below under the rounding of the total is never met
             raise RuntimeError(f"pmf head passed 10^6 terms with a tail of {1.0 - total:.3g} "
                                f"still >= tail_below={tail_below!r}")
-    head.append(tail_mass(head))
-    return head
+    return head + tail_masses(head)[-1:]
+
+
+def isolated_pmf(mean: float, tail_below: float = TAIL_LUMP) -> list[float]:
+    """``lumped_pmf`` of Po(mean), the reference law of the isolated count X at mean E[X]."""
+    return lumped_pmf({"isolated-count law at E[X]": (1.0, mean)}, tail_below)
 
 
 def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
     """P(Xi >= k) = 1 - sum_{j<k} P(Xi = j)."""
-    pmf = _mixed_poisson(profile, c)
-    return tail_mass([pmf(j) for j in range(k)])
+    pmf = _mixture(_degree_classes(profile, c).values())
+    return tail_masses([pmf(j) for j in range(k)])[-1]
 
 
 def degree_pmf_head(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> list[float]:
-    """[P(Xi = k) for k below degree_pmf_cutoff]: ``lumped_pmf`` of the degree law without the lump.
-
-    A Poisson median is at least its rate minus ln 2, and past a rate of
-    10^5 no value has probability 0.01. So a class of rate i c >= 10^6 - 1
-    keeps a tail above mu_i / 4 past a head of 10^6 terms; when that is at
-    least tail_below, this raises a ValueError naming the size and its rate
-    instead of walking the head.
-    """
-    pmf = _mixed_poisson(profile, c)
-    for i, m in profile.mu.items():
-        if i * c >= _HEAD_TERMS - 1 and m / 4 >= tail_below:
-            raise ValueError(f"degree law of size {i} at rate i*c = {i * c:.6g}: a pmf head of "
-                             f"10^6 terms leaves a tail > {m / 4:.3g}, not below {tail_below!r}")
-    return lumped_pmf(pmf, tail_below)[:-1]
+    """[P(Xi = k) for k < degree_pmf_cutoff]: the degree law's ``lumped_pmf`` without the lump."""
+    return lumped_pmf(_degree_classes(profile, c), tail_below)[:-1]
 
 
 def degree_pmf_cutoff(profile: LimitProfile, c: float, tail_below: float = TAIL_LUMP) -> int:

@@ -133,7 +133,7 @@ class TestDegreeExperiment:
         c_sparse = report.theory["c_sparse"]
         head = theory.degree_pmf_head(profile, c_sparse)
         dist = report.distributions
-        assert list(dist["degree_theory"].values()) == head + [theory.tail_mass(head)]
+        assert list(dist["degree_theory"].values()) == head + theory.tail_masses(head)[-1:]
         assert dist["degree_tail_theory"] == {
             k: theory.mixed_poisson_tail(profile, c_sparse, k) for k in range(len(head) + 1)}
         hist = list(dist["degree_hist"].values())

@@ -11,10 +11,10 @@ from supergraph import theory
 from supergraph.config import LimitProfile, SizeConfiguration, empirical_profile, \
     power_law_configuration
 from supergraph.theory import (critical_threshold, degree_pmf_cutoff, degree_pmf_head,
-                               expected_isolated, is_supercritical,
+                               expected_isolated, is_supercritical, isolated_pmf,
                                limit_connectivity_probability, limit_kernel, lumped_pmf,
                                mixed_poisson_pmf, mixed_poisson_tail, poisson_pmf,
-                               solve_giant_fraction, variance_isolated)
+                               solve_giant_fraction, tail_masses, variance_isolated)
 
 PROFILE_HOMOG = LimitProfile.from_weights({1: 1.0})
 PROFILE_HALF = LimitProfile.from_weights({1: 0.5, 2: 0.5})
@@ -353,7 +353,7 @@ class TestMixedPoisson:
 
     def test_lumped_pmf_appends_the_tail(self):
         # at lam = 1 the naive running total and fsum of the head differ in the last bits
-        lumped = lumped_pmf(lambda k: poisson_pmf(1.0, k))
+        lumped = lumped_pmf({"Po(1)": (1.0, 1.0)})
         cutoff = len(lumped) - 1
         assert lumped[:-1] == [poisson_pmf(1.0, k) for k in range(cutoff)]
         assert lumped[-1] == mixed_poisson_tail(PROFILE_HOMOG, 1.0, cutoff)
@@ -364,7 +364,7 @@ class TestMixedPoisson:
     def test_pmf_is_the_term_by_term_sum(self, prof):
         # bit for bit: the reference sums one poisson_pmf per class, as the law reads
         for c in (0.0, 1e-3, 0.5, 1.0, 2.7, 100.0, 1e6):
-            pmf = theory._mixed_poisson(prof, c)
+            pmf = theory._mixture((m, i * c) for i, m in prof.mu.items())
             for k in [*range(400), 10 ** 4]:
                 want = math.fsum(m * poisson_pmf(i * c, k) for i, m in prof.mu.items())
                 assert pmf(k) == mixed_poisson_pmf(prof, c, k) == want, (c, k)
@@ -378,16 +378,42 @@ class TestMixedPoisson:
         with pytest.raises(ValueError, match="finite"):
             mixed_poisson_pmf(PROFILE_HALF, 1e308, 1)
         with pytest.raises(ValueError, match="finite"):
-            theory._mixed_poisson(PROFILE_HALF, 1e308)
+            theory._mixture((m, i * 1e308) for i, m in PROFILE_HALF.mu.items())
         with pytest.raises(ValueError, match="finite"):
             degree_pmf_head(PROFILE_HALF, 1e308)
         with pytest.raises(ValueError, match="finite"):
             mixed_poisson_tail(PROFILE_HALF, 1e308, 3)
 
+    def test_rate_zero_class_puts_its_weight_on_zero(self):
+        # next to classes of positive rate, as the term-by-term sum reads
+        classes = [(0.25, 0.0), (0.5, 2.0), (0.25, 1e-3)]
+        pmf = theory._mixture(classes)
+        for k in range(40):
+            assert pmf(k) == math.fsum(w * poisson_pmf(lam, k) for w, lam in classes), k
+
+    @pytest.mark.parametrize("head", [[], [0.5, 0.25, 0.125], [1.0, 0.0], [0.1] * 13,
+                                      [poisson_pmf(3.7, k) for k in range(40)]])
+    def test_tail_masses_are_one_minus_the_rounded_head(self, head):
+        # fsum rounds the exact head sum once, as the running integer sum does
+        want = [min(1.0, max(0.0, 1.0 - math.fsum(head[:k]))) for k in range(len(head) + 1)]
+        assert tail_masses(head) == want
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 1.0, 30.5])
+    def test_isolated_pmf_is_the_lumped_poisson(self, mean):
+        lumped = isolated_pmf(mean)
+        head = [poisson_pmf(mean, k) for k in range(len(lumped) - 1)]
+        assert lumped == head + tail_masses(head)[-1:]
+        assert 1.0 - math.fsum(head[:-1]) >= 1e-9 > lumped[-1]
+
+    @pytest.mark.parametrize("mean", [10 ** 6 - 1, 1.1e6])
+    def test_isolated_pmf_past_the_head_limit_names_the_mean(self, mean):
+        with pytest.raises(ValueError, match=r"^isolated-count law at E\[X\] = \d"):
+            isolated_pmf(mean)
+
     @pytest.mark.parametrize("tail_below", [math.nan, 0.0, -1.0, 1.0])
     def test_tail_below_outside_unit_interval(self, tail_below):
         with pytest.raises(ValueError, match="tail_below"):
-            lumped_pmf(lambda k: poisson_pmf(1.0, k), tail_below)
+            lumped_pmf({"Po(1)": (1.0, 1.0)}, tail_below)
         with pytest.raises(ValueError, match="tail_below"):
             degree_pmf_head(PROFILE_HALF, 1.0, tail_below)
 
@@ -395,4 +421,4 @@ class TestMixedPoisson:
         # the guard for a tail_below that the head's rounded total never meets
         monkeypatch.setattr(theory, "_HEAD_TERMS", 50)
         with pytest.raises(RuntimeError, match="pmf head passed"):
-            lumped_pmf(lambda k: 0.0)
+            lumped_pmf({"no mass": (0.0, 1.0)})
