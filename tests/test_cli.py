@@ -5,7 +5,7 @@ import time
 import pytest
 
 from oracles import bisect_giant_fraction
-from supergraph import theory
+from supergraph import kernels, theory
 from supergraph.cli import main, render_report
 from supergraph.config import SizeConfiguration, empirical_profile, parse_inline
 from supergraph.montecarlo import ExperimentPlan, ExperimentReport, run_experiment
@@ -238,6 +238,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
         assert err.startswith("supergraph: error: degree law of size 1000000 at rate i*c = 1e+06")
+        assert err.count("\n") == 1
+
+    def test_isolated_law_past_the_head_limit_fails_fast(self, capsys, monkeypatch):
+        # at p = 0, E[X] = N = 1.1e6, so the Poisson reference cannot end within 10^6
+        # terms; the run used to sample every trial before failing on it
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the reference law")
+
+        monkeypatch.setattr(kernels, "sample_edges", no_trials)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "connectivity", "--inline", "1x1100000", "--regime",
+                                 "raw", "--c", "0", "--trials", "2", "--seed", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("supergraph: error: isolated-count law at E[X] = 1.1e+06")
         assert err.count("\n") == 1
 
     def test_predicts_a_configuration_past_int64(self, capsys):
