@@ -209,8 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -1e-3 as an option name; --c=VALUE it reads as a value
+    for i in range(len(argv) - 1, 0, -1):  # backwards: a join shifts only what was read
+        if argv[i - 1] == "--c" and _is_float(argv[i]):
+            argv[i - 1:i + 1] = [f"--c={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

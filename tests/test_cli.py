@@ -263,6 +263,24 @@ class TestExitCodes:
         assert doc["N"] == 2**62 and doc["n"] == 2**63
         assert all(math.isfinite(doc[k]) for k in ("E_isolated", "Var_isolated", "rho"))
 
+    @pytest.mark.parametrize("command", ["generate", "predict", "connectivity"])
+    def test_negative_c_in_exponent_notation(self, capsys, command):
+        # argparse alone reads "-1e-3" as an option name and exits 2
+        extra = [] if command == "predict" else ["--seed", "3"]
+        extra += ["--trials", "3"] if command == "connectivity" else []
+        argv = [command, "--inline", "1x300", "--regime", "connectivity", *extra]
+        runs = [run_cli(capsys, *argv, *c) for c in (["--c", "-1e-3"], ["--c=-1e-3"])]
+        outs = ["".join(line for line in out.splitlines(True) if '"wall_time"' not in line)
+                for code, out, err in runs if (code, err) == (0, "")]
+        assert len(outs) == 2 and outs[0] == outs[1] != ""
+
+    @pytest.mark.parametrize("value", ["-x", "one", "-1e-3e"])
+    def test_non_number_c_is_2(self, capsys, value):
+        code, out, err = run_cli(capsys, "predict", "--inline", "1x10", "--regime", "raw",
+                                 "--c", value)
+        assert code == 2 and out == ""
+        assert "argument --c" in err
+
     def test_missing_config_file_is_1(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--config", "/nonexistent.json",
                                "--regime", "raw", "--c", "0.1")
