@@ -100,8 +100,8 @@ class SuperGraph:
     layout give int64 keys u*N + v, sorted in place and decoded into a fresh
     array, so N may not exceed 3_037_000_499 (N*N < 2^63). Any integer dtype
     is taken; a non-empty float or bool array, non-empty ``edges`` not of shape
-    (m, 2) or ``sizes`` not 1-D raises. Arrays are marked read-only;
-    instances are safe to share between threads.
+    (m, 2) or ``sizes`` not 1-D raises. Both arrays are the graph's own copies,
+    marked read-only; instances are safe to share between threads.
     """
 
     sizes: np.ndarray
@@ -129,6 +129,8 @@ class SuperGraph:
             raise ValueError("duplicate edges")
         edges = np.empty((key.shape[0], 2), np.int64)
         np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))  # exact: 0 <= v < n
+        del key  # first, so the key and the sizes' copy never add up in the peak
+        sizes = sizes.copy()  # never the caller's memory, nor its flags
         sizes.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)

@@ -283,6 +283,15 @@ class TestSuperGraphType:
         assert not np.shares_memory(g.edges, edges)
         assert g.edges.tolist() == [[0, 1], [1, 3], [2, 3]]
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_leaves_the_callers_sizes_alone(self, dtype):
+        sizes = np.array([1, 2, 2, 5], dtype)
+        g = SuperGraph(sizes=sizes, edges=[[0, 1]])
+        assert sizes.flags.writeable and not np.shares_memory(g.sizes, sizes)
+        assert not g.sizes.flags.writeable and g.sizes.tolist() == [1, 2, 2, 5]
+        sizes[0] = 7  # the caller's array is still its own to write
+        assert g.sizes[0] == 1
+
     def test_accepts_read_only_edges(self):
         edges = np.array([[2, 3], [0, 1]], np.int64)
         edges.setflags(write=False)
