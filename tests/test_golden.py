@@ -17,6 +17,10 @@ labelling or the theory must leave all of them unchanged.
 
 import functools
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,13 @@ from supergraph.config import (SizeConfiguration, empirical_profile, parse_inlin
 from supergraph.montecarlo import ExperimentPlan, run_experiment
 from supergraph.sampler import resolve_p, sample_constructive, sample_direct
 from supergraph.theory import critical_threshold
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EDGE_GRID = [
     ({1: 200}, 0.01),
@@ -207,6 +218,21 @@ def test_generate_bytes_seven_digit_endpoints(capsys, sampler):
     out = capsys.readouterr().out
     assert " 1000000\n" in out
     assert _sha(out.encode()) == MILLION_GENERATE_HASHES[sampler]
+
+
+@pytest.mark.parametrize("sampler", ["direct", "constructive"])
+def test_generate_bytes_on_the_baseline_cpu_features(sampler):
+    # numpy picks its SIMD kernels at run time; switched down to its baseline, the bytes hold
+    targets = [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
+    code = (f"import importlib, sys; f = importlib.import_module({_umath.__name__!r}); "
+            f"assert not any(f.__cpu_features__[t] for t in {targets!r}), 'dispatch left on'; "
+            "from supergraph import cli; sys.exit(cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    proc = subprocess.run([sys.executable, "-c", code, *GENERATE_ARGV, "--sampler", sampler],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert _sha(proc.stdout) == GENERATE_HASHES[sampler]
 
 
 @functools.cache
