@@ -286,9 +286,9 @@ def lumped_pmf(classes: dict[str, tuple[float, float]],
     return head + tail_masses(head)[-1:]
 
 
-def isolated_pmf(mean: float, tail_below: float = TAIL_LUMP) -> list[float]:
+def isolated_pmf(mean: float) -> list[float]:
     """``lumped_pmf`` of Po(mean), the reference law of the isolated count X at mean E[X]."""
-    return lumped_pmf({"isolated-count law at E[X]": (1.0, mean)}, tail_below)
+    return lumped_pmf({"isolated-count law at E[X]": (1.0, mean)})
 
 
 def mixed_poisson_tail(profile: LimitProfile, c: float, k: int) -> float:
