@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 # Seconds one test's call may run before the run dumps every thread's stack
 # and exits, so a loop that stops making progress fails the suite instead of
-# hanging it. The slowest test, acceptance criterion 10, takes 28-38 s on a 2-vCPU VM.
+# hanging it. The slowest test, acceptance criterion 10, takes 21-45 s on a shared 2-vCPU VM.
 TEST_TIME_LIMIT = 300
 
 _STDERR = pytest.StashKey[int]()
